@@ -283,9 +283,9 @@ type Options struct {
 	// Parallelism is this connection's in-flight window on the shared
 	// worker pool: how many adaptation buffers it may have submitted for
 	// compression (or receive groups for decompression) at once (default
-	// min(GOMAXPROCS, 4)). 1 selects the paper's sequential two-goroutine
-	// pipeline. Every setting produces the same wire framing and delivers
-	// bytes in order.
+	// min(GOMAXPROCS, 4)). Every setting runs the same pipeline, 1 being
+	// the paper's sequential one as the window-of-1 case, produces the
+	// same wire framing, and delivers bytes in order.
 	Parallelism int
 	// SharedPool is the worker pool this connection submits jobs to; nil
 	// selects the process-wide default pool sized to GOMAXPROCS.

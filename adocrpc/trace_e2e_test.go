@@ -41,9 +41,9 @@ func stagesByTrace(tr *adoc.FlowTracer) map[uint64]map[string]bool {
 //
 // Determinism: SampleNext samples the first batch ever offered, the
 // ingress tunnel negotiates MinLevel 1, which keeps every batch — the
-// stream-open included — on the adaptive pipeline, and Parallelism > 1
-// selects the pipelined sender, so that first sampled batch produces
-// the full sender-side stage set.
+// stream-open included — on the adaptive pipeline, whose every stage
+// records a span, so that first sampled batch produces the full
+// sender-side stage set.
 func TestTraceTimelineAcrossGateways(t *testing.T) {
 	// The backend: a real adocrpc server on plain TCP.
 	backendLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -76,9 +76,8 @@ func TestTraceTimelineAcrossGateways(t *testing.T) {
 	inOpts := adocmux.TransportOptions()
 	inOpts.FlowTracer = ingT
 	inOpts.MinLevel = 1
-	// Parallelism defaults to min(GOMAXPROCS, 4); pin it above 1 so the
-	// sender runs the pipelined path — the one with distinct
-	// enqueue/queue stages — even on a single-core machine.
+	// Parallelism defaults to min(GOMAXPROCS, 4); pin it so the test runs
+	// the same window on every machine.
 	inOpts.Parallelism = 4
 	inLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

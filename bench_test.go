@@ -248,8 +248,8 @@ func BenchmarkAblateBufferSize(b *testing.B) {
 }
 
 // BenchmarkParallelPipeline measures sender-pipeline throughput at a fixed
-// DEFLATE level across worker counts — the scaling curve of the sharded
-// compression pool (Parallelism 1 is the paper's sequential pipeline).
+// DEFLATE level across in-flight windows — the scaling curve of the shared
+// compression pool (Parallelism 1 is the window-of-1 case).
 func BenchmarkParallelPipeline(b *testing.B) {
 	data := datagen.ByKind(datagen.KindASCII, 4<<20, 1)
 	for _, p := range []int{1, 2, 4} {

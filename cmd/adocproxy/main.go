@@ -13,10 +13,10 @@
 //	adocproxy -mode egress  -listen :7001 -backend backend-host:9000
 //
 // Flags -minlevel/-maxlevel bound the negotiated compression levels,
-// -parallelism sets the compression worker count, and -stats makes the
-// ingress print a periodic line explaining the tunnel's current
-// compression level (the adapt controller snapshot: level, forbidden
-// set, pin countdown, per-level bandwidth).
+// -parallelism sets the in-flight window on the compression pool, and
+// -stats makes the ingress print a periodic line explaining the tunnel's
+// current compression level (the adapt controller snapshot: level,
+// forbidden set, pin countdown, per-level bandwidth).
 //
 // Operations: -http starts the ops listener (/metrics, /healthz,
 // /debug/adapt, /debug/trace, /debug/pprof), SIGTERM drains gracefully
@@ -59,7 +59,7 @@ func main() {
 		backendFile = flag.String("backends-file", "", "egress: file of backend addresses, one per line; SIGHUP reloads it")
 		minLevel    = flag.Int("minlevel", 0, "minimum compression level offered [0,10]")
 		maxLevel    = flag.Int("maxlevel", 10, "maximum compression level offered [0,10]")
-		parallelism = flag.Int("parallelism", 0, "compression workers (0 = auto)")
+		parallelism = flag.Int("parallelism", 0, "in-flight compression window (0 = auto)")
 		statsEvery  = flag.Duration("stats", 0, "ingress: print tunnel stats at this interval (0 = off)")
 		httpAddr    = flag.String("http", "", "ops HTTP listener: /metrics, /healthz, /debug/adapt, /debug/trace, /debug/pprof (empty = off)")
 		healthIvl   = flag.Duration("health-interval", 2*time.Second, "egress: backend health-check interval (0 = off)")

@@ -149,9 +149,10 @@ func (c *Conn) CounterStats() Stats { return c.eng.CounterStats() }
 // (1.0 means no gain; higher is better).
 func (c *Conn) CompressionRatio() float64 { return c.eng.CompressionRatio() }
 
-// Parallelism returns the effective compression worker count after
-// defaulting: 1 means the sequential two-goroutine pipeline, higher values
-// the sharded worker pool.
+// Parallelism returns the connection's effective in-flight window after
+// defaulting: how many adaptation buffers (or receive groups) it may have
+// on the shared worker pool at once. It is not a worker count; 1 is the
+// paper's sequential pipeline as the window-of-1 case.
 func (c *Conn) Parallelism() int { return c.eng.Options().Parallelism }
 
 // Underlying returns the wrapped stream.

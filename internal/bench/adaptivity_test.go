@@ -61,6 +61,9 @@ func TestControllerAdaptsToBandwidthDrop(t *testing.T) {
 		MTU:          16 * 1024,
 		SocketBuf:    512 * 1024,
 	}
+	// Generated before the clock starts: under the race detector a cold
+	// datagen call can outlast the whole sampling window.
+	pattern := datagen.ASCII(1<<20, 42)
 	start := time.Now()
 	a, b := netsim.Pair(netsim.StepDown(prof, stepAt, dropTo))
 	defer a.Close()
@@ -83,7 +86,7 @@ func TestControllerAdaptsToBandwidthDrop(t *testing.T) {
 
 	// One endless message; it dies with the connection when the test is
 	// done sampling.
-	src := &throttledSource{pattern: datagen.ASCII(1<<20, 42), bps: sourceBps, chunk: 32 * 1024}
+	src := &throttledSource{pattern: pattern, bps: sourceBps, chunk: 32 * 1024}
 	sendDone := make(chan struct{})
 	go func() {
 		defer close(sendDone)

@@ -31,9 +31,9 @@ func (s *nullSink) Close() error {
 // PipelineThroughput measures the sender pipeline alone: data is sent reps
 // times at a fixed compression level (min == max pins the adapter, so the
 // measurement isolates the worker pool) over an infinitely fast sink, and
-// the raw throughput in bytes per second is returned. parallelism 1 is the
-// paper's sequential pipeline; higher values shard compression across that
-// many workers.
+// the raw throughput in bytes per second is returned. parallelism is the
+// engine's in-flight window on the shared worker pool; 1 is the paper's
+// sequential pipeline as the window-of-1 case.
 func PipelineThroughput(parallelism int, level adoc.Level, data []byte, reps int) (bps float64, err error) {
 	if reps <= 0 {
 		reps = 1
@@ -60,8 +60,8 @@ func PipelineThroughput(parallelism int, level adoc.Level, data []byte, reps int
 	return float64(len(data)) * float64(reps) / elapsed.Seconds(), nil
 }
 
-// PipelineSpeedup returns the throughput ratio of the parallel pipeline
-// over the sequential one on the same data at the same fixed level — the
+// PipelineSpeedup returns the throughput ratio of the pipeline at the given
+// window over a window of 1 on the same data at the same fixed level — the
 // scaling number the parallel-pipeline work is judged by.
 func PipelineSpeedup(parallelism int, level adoc.Level, data []byte, reps int) (float64, error) {
 	seq, err := PipelineThroughput(1, level, data, reps)

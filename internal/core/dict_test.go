@@ -19,8 +19,8 @@ func dictPipelineOptions(parallelism int) Options {
 }
 
 // TestDictGroupsRoundTrip: with a dictionary announced on the sender and
-// installed on the receiver, stream messages round trip on both the
-// sequential and parallel pipelines, and clearing the dictionary returns
+// installed on the receiver, stream messages round trip at in-flight
+// windows of 1 and 4, and clearing the dictionary returns
 // the engine to plain groups (provable because the receiver holds no
 // generations afterwards).
 func TestDictGroupsRoundTrip(t *testing.T) {

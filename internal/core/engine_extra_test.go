@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -104,19 +105,30 @@ func TestSendMessageSourceError(t *testing.T) {
 }
 
 func TestSendMessageSizeTruncatedSource(t *testing.T) {
-	e1, e2 := pipePair(t, smallPipelineOptions())
-	go func() {
-		buf := make([]byte, 4096)
-		for {
-			if _, err := e2.Read(buf); err != nil {
-				return
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism%d", par), func(t *testing.T) {
+			o := smallPipelineOptions()
+			o.Parallelism = par
+			e1, e2 := pipePair(t, o)
+			go func() {
+				buf := make([]byte, 4096)
+				for {
+					if _, err := e2.Read(buf); err != nil {
+						return
+					}
+				}
+			}()
+			// Source EOFs before the declared size: must error, not hang,
+			// and must not report the declared size as sent.
+			const have = 10 * 1024
+			raw, _, err := e1.SendMessage(bytes.NewReader(compressibleData(have)), 64*1024)
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
 			}
-		}
-	}()
-	// Source EOFs before the declared size: must error, not hang.
-	_, _, err := e1.SendMessage(bytes.NewReader(compressibleData(10*1024)), 64*1024)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
+			if raw > have {
+				t.Errorf("raw = %d, want at most the %d bytes the source held", raw, have)
+			}
+		})
 	}
 }
 

@@ -112,11 +112,13 @@ type Options struct {
 	FlushInterval int
 	// Parallelism is this engine's in-flight window: how many adaptation
 	// buffers (or receive groups) it may have submitted to the shared
-	// worker pool at once. 1 selects the paper's sequential two-thread
-	// pipeline with no pool involvement; 0 selects DefaultParallelism().
-	// Wire framing and ordering are identical at every setting. Actual CPU
-	// concurrency is bounded by the worker pool's size, shared across all
-	// engines.
+	// worker pool at once; 0 selects DefaultParallelism(). Every setting
+	// runs the same pipeline — 1 is the paper's sequential one as the
+	// window-of-1 case — with identical wire framing and ordering, and the
+	// controller's occupancy signal counts each submitted buffer not yet
+	// in the emission FIFO at its raw size in packets, so adaptation does
+	// not depend on the window. Actual CPU concurrency is bounded by the
+	// worker pool's size, shared across all engines.
 	Parallelism int
 	// SharedPool is the worker pool this engine submits its parallel
 	// compression/decompression jobs to; nil selects the process-wide

@@ -1,17 +1,25 @@
-// Parallel compression pipeline (Parallelism > 1): the sequential
-// compression goroutine of the paper becomes buffer jobs submitted to the
-// process-wide WorkerPool. The writer splits the message into adaptation
-// buffers exactly as before and chooses a level for each buffer at enqueue
-// time; pool workers compress buffers concurrently; an in-order reassembly
-// stage feeds the unchanged emission goroutine, so the wire stream is
-// byte-identical in ordering and framing to the sequential path for the
-// same sequence of level choices. The receive side mirrors this with
-// parallel block decompression behind the same in-order delivery
-// guarantee.
+// The AdOC pipeline, run on the process-wide WorkerPool. The writer
+// splits a message into adaptation buffers and chooses each buffer's
+// level as it submits the buffer; pool workers compress buffers; an
+// in-order reassembly stage feeds the emission goroutine's packet FIFO,
+// so the wire stream keeps buffer order and framing whatever order the
+// workers finish in. The receive side mirrors this with pool
+// decompression behind the same in-order delivery guarantee.
 //
-// Parallelism bounds the engine's in-flight buffer window — how many
-// adaptation buffers it may have submitted at once — not a private worker
-// count: CPU concurrency across all engines is the shared pool's size.
+// Parallelism is the engine's in-flight window — how many adaptation
+// buffers (or receive groups) it may have submitted at once — not a
+// private worker count: CPU concurrency across all engines is the shared
+// pool's size. Parallelism 1 is the paper's sequential pipeline as the
+// window-of-1 case of the same code.
+//
+// Paper Figure 2 drives the level from the occupancy of the one FIFO
+// between the compression thread and the emission thread. Here buffers
+// also wait outside that FIFO — submitted, compressing, or in reassembly
+// — so the occupancy passed to LevelForNextBuffer is the FIFO's length
+// plus, for every buffer submitted but not yet handed to the FIFO, its raw
+// size in packets. Counting at submit rather than as workers produce
+// segments means the controller sees the same queue whatever the window
+// size and however fast the workers run.
 
 package core
 
@@ -22,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adoc/internal/adapt"
 	"adoc/internal/codec"
 	"adoc/internal/core/bufpool"
 	"adoc/internal/fifo"
@@ -30,48 +37,34 @@ import (
 	"adoc/internal/wire"
 )
 
+// segList collects the wire-framed segments of one compressed buffer, in
+// order, until the reassembly stage hands them to the emission FIFO.
+type segList []segment
+
 // compResult is one compressed buffer: its wire-framed segments in order,
 // plus the entropy probe's verdict, applied to the controller by the
 // reassembly stage so feedback arrives in buffer order rather than worker
 // completion order.
 type compResult struct {
-	segs  []segment
+	segs  segList
 	raw   int // raw bytes the segments carry, for rawSent accounting
 	class contentClass
 	err   error
 }
 
-// segList collects the segments of one buffer on a worker's stack, counting
-// each one into the shared pipeline backlog so the controller's occupancy
-// signal covers work the emission FIFO cannot see yet.
-type segList struct {
-	segs    []segment
-	backlog *adapt.Backlog
-}
-
-func (l *segList) Push(s segment) error {
-	l.segs = append(l.segs, s)
-	l.backlog.Add(1)
-	return nil
-}
-
-// getChunkBuf returns a BufferSize-capacity read buffer from the shared
-// tiered pool (each in-flight parallel buffer needs its own backing
-// array, recycled across every engine in the process).
-func (e *Engine) getChunkBuf() []byte {
-	return bufpool.Get(e.opts.BufferSize)
-}
-
-func (e *Engine) putChunkBuf(b []byte) {
-	bufpool.Put(b)
+// rawPackets is the occupancy a buffer of n raw bytes adds while it is in
+// flight ahead of the emission FIFO: its size in FIFO packets, before
+// compression shrinks it.
+func (e *Engine) rawPackets(n int) int64 {
+	return int64((n + e.opts.PacketSize - 1) / e.opts.PacketSize)
 }
 
 // compressJob runs on a pool worker: classify one adaptation buffer,
-// compress it at its enqueue-time level, release its backing buffers, and
+// compress it at its submit-time level, release its backing buffers, and
 // deliver the result to the engine's reassembly stage. For sampled
 // messages the worker records the buffer's queue wait (submitAt to job
 // start) and its compress span.
-func (e *Engine) compressJob(buf, data []byte, level codec.Level, backlog *adapt.Backlog, res chan<- compResult, tc obs.TraceContext, submitAt time.Time) {
+func (e *Engine) compressJob(buf, data []byte, level codec.Level, res chan<- compResult, tc obs.TraceContext, submitAt time.Time) {
 	tr := e.opts.FlowTracer
 	var start time.Time
 	if tc.Sampled {
@@ -83,8 +76,8 @@ func (e *Engine) compressJob(buf, data []byte, level codec.Level, backlog *adapt
 	if level == codec.LZF {
 		scratch = bufpool.Get(e.opts.BufferSize)
 	}
-	dst := &segList{backlog: backlog}
-	err := e.compressBufferAt(dst, level, data, scratch)
+	var segs segList
+	err := e.compressBufferAt(&segs, level, data, scratch)
 	raw := len(data)
 	if tc.Sampled {
 		tr.Record(tc, 0, obs.StageCompress, start, tr.Now().Sub(start), raw, int(level))
@@ -92,16 +85,16 @@ func (e *Engine) compressJob(buf, data []byte, level codec.Level, backlog *adapt
 	if scratch != nil {
 		bufpool.Put(scratch) // segments copied out of it already
 	}
-	e.putChunkBuf(buf)
-	res <- compResult{segs: dst.segs, raw: raw, class: class, err: err}
+	bufpool.Put(buf)
+	res <- compResult{segs: segs, raw: raw, class: class, err: err}
 }
 
-// sendAdaptiveParallel is sendAdaptive with the compression stage executed
-// by the shared worker pool. The caller goroutine reads and assigns
-// levels, pool workers compress, the reassembly goroutine restores buffer
-// order into the emission FIFO, and the emitter is exactly the sequential
-// one. remaining < 0 means until EOF.
-func (e *Engine) sendAdaptiveParallel(src io.Reader, remaining int64) (delivered, wireBytes int64, err error) {
+// sendPipeline runs the adaptive send pipeline for the rest of a message:
+// the caller goroutine reads buffers and assigns levels, pool workers
+// compress, the reassembly goroutine restores buffer order into the
+// emission FIFO, and runEmitter drains the FIFO onto the socket.
+// remaining < 0 means until EOF.
+func (e *Engine) sendPipeline(src io.Reader, remaining int64) (delivered, wireBytes int64, err error) {
 	if remaining == 0 {
 		return 0, 0, nil
 	}
@@ -111,14 +104,16 @@ func (e *Engine) sendAdaptiveParallel(src io.Reader, remaining int64) (delivered
 	res := make(chan emitResult, 1)
 	go e.runEmitter(q, res, tc)
 
-	backlog := &adapt.Backlog{}
-	// order carries one result channel per buffer in enqueue order; its
+	// backlog holds the raw packet count of every buffer submitted but not
+	// yet handed to q, where q.Len counts its segments instead.
+	var backlog atomic.Int64
+	// order carries one result channel per buffer in submit order; its
 	// capacity is the engine's in-flight window (Parallelism) and bounds
 	// both reassembly memory and how many jobs this engine can have queued
 	// on the shared pool at once.
 	order := make(chan chan compResult, e.opts.Parallelism)
 
-	// Reassembly: pop result channels in enqueue order and feed the
+	// Reassembly: pop result channels in submit order and feed the
 	// emission FIFO. On the first failure it aborts the FIFO and keeps
 	// draining so neither the reader nor the pool workers can block.
 	var failed atomic.Bool
@@ -136,16 +131,16 @@ func (e *Engine) sendAdaptiveParallel(src io.Reader, remaining int64) (delivered
 				// Probe feedback in buffer order: the run counter must see
 				// the stream's sequence, not the workers' finish order.
 				e.noteContent(r.class)
+				backlog.Add(-e.rawPackets(r.raw))
 				for _, s := range r.segs {
 					if err := q.Push(s); err != nil {
 						firstErr = err
 						break
 					}
-					backlog.Add(-1)
 				}
 				if firstErr == nil {
-					// Counted here, not at dispatch, so a failed send
-					// reports the same rawSent the sequential path would.
+					// Counted here, not at submit, so a failed send reports
+					// only the payload that reached the FIFO.
 					e.stats.rawSent.Add(int64(r.raw))
 				}
 			}
@@ -159,7 +154,7 @@ func (e *Engine) sendAdaptiveParallel(src io.Reader, remaining int64) (delivered
 
 	var sendErr error
 	for remaining != 0 && !failed.Load() {
-		buf := e.getChunkBuf()
+		buf := bufpool.Get(e.opts.BufferSize)
 		want := int64(len(buf))
 		if remaining > 0 && remaining < want {
 			want = remaining
@@ -168,7 +163,7 @@ func (e *Engine) sendAdaptiveParallel(src io.Reader, remaining int64) (delivered
 		if n > 0 {
 			// The level is chosen here, against the whole-pipeline
 			// occupancy, and travels with the buffer.
-			level := e.ctrl.LevelForNextBuffer(q.Len() + backlog.Len())
+			level := e.ctrl.LevelForNextBuffer(q.Len() + int(backlog.Load()))
 			rc := make(chan compResult, 1)
 			// The wait for an in-flight slot is the writer's enqueue
 			// stage; the queue stage (submit to job start) is measured by
@@ -183,13 +178,14 @@ func (e *Engine) sendAdaptiveParallel(src io.Reader, remaining int64) (delivered
 				submitAt = tr.Now()
 				tr.Record(tc, 0, obs.StageEnqueue, eq, submitAt.Sub(eq), n, int(level))
 			}
+			backlog.Add(e.rawPackets(n))
 			data := buf[:n]
-			e.pool.Submit(func() { e.compressJob(buf, data, level, backlog, rc, tc, submitAt) })
+			e.pool.Submit(func() { e.compressJob(buf, data, level, rc, tc, submitAt) })
 			if remaining > 0 {
 				remaining -= int64(n)
 			}
 		} else {
-			e.putChunkBuf(buf)
+			bufpool.Put(buf)
 		}
 		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
 			if remaining > 0 {
@@ -202,7 +198,7 @@ func (e *Engine) sendAdaptiveParallel(src io.Reader, remaining int64) (delivered
 			break
 		}
 	}
-	// Every dispatched buffer already has its result channel queued in
+	// Every submitted buffer already has its result channel queued in
 	// order, so closing it here lets the reassembly stage drain exactly
 	// the jobs that were submitted (blocking on each until its pool worker
 	// delivers).
@@ -227,18 +223,10 @@ func (e *Engine) sendAdaptiveParallel(src io.Reader, remaining int64) (delivered
 	return r.rawDelivered, r.wireBytes, r.err
 }
 
-// decGroup is one decoded group — or the message-end marker — delivered in
-// wire order to the consumer. doneAt, when set, is the instant the group's
-// decompression finished; the gap until the consumer takes it is the
-// in-order delivery wait.
-type decGroup struct {
-	data   []byte
-	rawLen int
-	end    bool
-	doneAt time.Time
-	level  int
-}
-
+// decResult is one decoded group, the message-end marker, or the error
+// that ends the stream, delivered in wire order to the consumer. doneAt,
+// when set, is the instant the group's decompression finished; the gap
+// until the consumer takes it is the in-order delivery wait.
 type decResult struct {
 	data   []byte
 	rawLen int
@@ -248,12 +236,11 @@ type decResult struct {
 	level  int
 }
 
-// decodeGroup expands and verifies one assembled group — the same
-// per-group work on both receive paths (the sequential consumer calls it
-// inline, the pool workers concurrently). Dict groups name their
-// dictionary by generation, so out-of-order parallel decoding still pairs
-// each group with the exact bytes it was compressed against; a generation
-// this engine never installed is indistinguishable from corruption.
+// decodeGroup expands and verifies one assembled group on a pool worker.
+// Dict groups name their dictionary by generation, so out-of-order
+// decoding still pairs each group with the exact bytes it was compressed
+// against; a generation this engine never installed is indistinguishable
+// from corruption.
 func (e *Engine) decodeGroup(g completedGroup) decResult {
 	var raw []byte
 	var err error
@@ -291,13 +278,12 @@ func (e *Engine) decodeGroupTraced(g completedGroup) decResult {
 	return r
 }
 
-// runDecodePipeline is the receive-side mirror of the parallel sender: an
+// runDecodePipeline is the receive-side mirror of sendPipeline: an
 // assembler goroutine pops frames from the reception FIFO and rebuilds
-// groups, the shared worker pool decompresses groups concurrently (at most
-// Parallelism of this engine's groups in flight), and a collector delivers
-// decoded groups to st.decoded strictly in wire order. Groups decoded
-// before a failure are delivered first, matching the sequential path's
-// drain-then-error contract.
+// groups, the shared worker pool decompresses groups (at most Parallelism
+// of this engine's groups in flight), and a collector delivers decoded
+// groups to st.decoded strictly in wire order. Groups decoded before a
+// failure are delivered first, then the error.
 func (e *Engine) runDecodePipeline(st *streamState) {
 	order := make(chan chan decResult, e.opts.Parallelism)
 
@@ -308,18 +294,11 @@ func (e *Engine) runDecodePipeline(st *streamState) {
 			if failed {
 				continue
 			}
-			switch {
-			case r.err != nil:
+			if r.err != nil {
 				failed = true
 				st.decoded.CloseSendWithError(r.err)
-			case r.end:
-				if st.decoded.Push(decGroup{end: true}) != nil {
-					failed = true
-				}
-			default:
-				if st.decoded.Push(decGroup{data: r.data, rawLen: r.rawLen, doneAt: r.doneAt, level: r.level}) != nil {
-					failed = true
-				}
+			} else if st.decoded.Push(r) != nil {
+				failed = true
 			}
 		}
 		if !failed {
@@ -334,9 +313,6 @@ func (e *Engine) runDecodePipeline(st *streamState) {
 		rc <- r
 		order <- rc
 	}
-	// asm is the same frame state machine the sequential consumer runs;
-	// reuse stays false because pool workers hold each group's block while
-	// the next group assembles (and a raw group's decoded bytes alias it).
 	var asm groupAssembler
 	for {
 		fr, err := st.frames.Pop()
@@ -376,43 +352,4 @@ func (e *Engine) runDecodePipeline(st *streamState) {
 		}
 	}
 	close(order)
-}
-
-// advanceDecoded is advanceStream for the parallel receive pipeline: it
-// consumes in-order decoded groups instead of raw frames. Decoded groups
-// are independent allocations, so the returned span stays valid until the
-// consumer releases it — stricter than the sequential path's
-// until-next-call contract, which is what callers must assume.
-func (e *Engine) advanceDecoded(st *streamState, block bool) (data []byte, err error) {
-	for {
-		var g decGroup
-		if block {
-			g, err = st.decoded.Pop()
-			if err == io.EOF {
-				return nil, io.ErrUnexpectedEOF
-			}
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			var ok bool
-			g, ok = st.decoded.TryPop()
-			if !ok {
-				return nil, nil
-			}
-		}
-		if g.end {
-			return nil, errMsgEnd
-		}
-		e.stats.rawReceived.Add(int64(g.rawLen))
-		if !g.doneAt.IsZero() && e.opts.FlowTracer.Enabled() {
-			// Deliver wait: decompression done to the consumer taking the
-			// group in wire order.
-			e.recordRecvSpan(obs.StageDeliver, g.doneAt, e.opts.FlowTracer.Now().Sub(g.doneAt), g.rawLen, g.level)
-		}
-		if len(g.data) == 0 {
-			continue // an empty group adds nothing to the byte stream
-		}
-		return g.data, nil
-	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/adler32"
 	"io"
 	"net"
@@ -73,7 +74,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // TestParallelConcurrentWriters hammers one parallel engine with
 // interleaved messages from concurrent writers (run under -race in CI) and
 // checks that every message arrives intact and that the delivered message
-// multiset matches what the sequential path delivers.
+// multiset matches what a window of 1 delivers.
 func TestParallelConcurrentWriters(t *testing.T) {
 	const writers = 6
 	const perWriter = 4
@@ -181,9 +182,8 @@ func TestLevelChangesOnBufferBoundaries(t *testing.T) {
 	}
 }
 
-// TestParallelCorruptChecksumDetected feeds the parallel receive pipeline a
-// group with a wrong checksum and requires the same error the sequential
-// path reports.
+// TestParallelCorruptChecksumDetected feeds the receive pipeline at a
+// window of 4 a group with a wrong checksum and requires ErrChecksum.
 func TestParallelCorruptChecksumDetected(t *testing.T) {
 	raw := compressibleData(1000)
 	blk, used, err := codec.Compress(3, raw)
@@ -209,7 +209,7 @@ func TestParallelCorruptChecksumDetected(t *testing.T) {
 }
 
 // TestParallelGoodGroupsDeliveredBeforeError checks the drain-then-error
-// contract on the parallel receive path: groups that decoded cleanly before
+// contract on the receive pipeline: groups that decoded cleanly before
 // a corrupt one must still reach the application.
 func TestParallelGoodGroupsDeliveredBeforeError(t *testing.T) {
 	good := compressibleData(4096)
@@ -358,5 +358,74 @@ func TestReceiveMessageErrorReleasesPipeline(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines leaked after ReceiveMessage error", n-before)
+	}
+}
+
+// pacedLink is a write-only link that accepts rate bytes per second: each
+// Write sleeps for its share, so the emission FIFO backs up the way it
+// does behind a slow network.
+type pacedLink struct{ rate float64 }
+
+func (l pacedLink) Write(p []byte) (int, error) {
+	time.Sleep(time.Duration(float64(len(p)) / l.rate * float64(time.Second)))
+	return len(p), nil
+}
+
+func (pacedLink) Read(p []byte) (int, error) { return 0, io.EOF }
+
+// TestAdaptsAtEveryWindow checks that the controller counts buffers in
+// flight ahead of the emission FIFO, not only packets already in it: with
+// a window above 1 a short message can have every level chosen before any
+// packet reaches the FIFO, and an occupancy of the FIFO alone would read
+// empty and send the message uncompressed. A compressible message of the
+// bandwidth probe plus three adaptation buffers, sent twice over a
+// ~1 MB/s link, must leave level 0 after its first adaptive buffer at
+// every window size, and its wire bytes must show it.
+func TestAdaptsAtEveryWindow(t *testing.T) {
+	const size = DefaultProbeSize + 5*DefaultBufferSize/2 // probe + 200 KB + 200 KB + 100 KB
+	msg := compressibleData(size)
+	for _, par := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("parallelism%d", par), func(t *testing.T) {
+			o := DefaultOptions()
+			o.Parallelism = par
+			e, err := New(pacedLink{rate: 1e6}, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			prev := e.Stats()
+			for i := 0; i < 2; i++ {
+				if _, err := e.WriteMessage(msg); err != nil {
+					t.Fatalf("message %d: %v", i, err)
+				}
+				s := e.Stats()
+				if s.ProbeBypasses != prev.ProbeBypasses {
+					t.Fatalf("message %d: probe took the fast-link bypass on a 1 MB/s link", i)
+				}
+				var buffers, level0 int64
+				for l, n := range s.Controller.LevelCount {
+					n -= prev.Controller.LevelCount[l]
+					buffers += n
+					if l == 0 {
+						level0 = n
+					}
+				}
+				if buffers != 3 {
+					t.Fatalf("message %d: controller chose %d levels, want 3 (one per adaptation buffer)", i, buffers)
+				}
+				if level0 > 1 {
+					t.Errorf("message %d: %d of 3 buffers at level 0 (histogram %v); only the first may be",
+						i, level0, s.Controller.LevelCount)
+				}
+				// The probe and the first buffer go out raw; the other two
+				// buffers compress at least 2:1.
+				raw, wireN := s.RawSent-prev.RawSent, s.WireSent-prev.WireSent
+				rest := int64(size - DefaultProbeSize - DefaultBufferSize)
+				if limit := raw - rest/2; wireN >= limit {
+					t.Errorf("message %d: %d wire bytes for %d raw, want < %d", i, wireN, raw, limit)
+				}
+				prev = s
+			}
+		})
 	}
 }

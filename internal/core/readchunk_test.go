@@ -25,7 +25,7 @@ func readChunks(t *testing.T, e *Engine, want int) []byte {
 
 // TestReadChunkDelivery checks that ReadChunk reproduces the byte stream
 // exactly — across stream messages (multi-group, forced compression) and
-// small messages — on both the sequential and the parallel receive path.
+// small messages — at in-flight windows of 1 and 4.
 func TestReadChunkDelivery(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		t.Run(map[int]string{1: "sequential", 4: "parallel"}[par], func(t *testing.T) {

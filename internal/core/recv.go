@@ -34,16 +34,12 @@ type recvFrame struct {
 
 // streamState is the receive pipeline for one in-progress stream message:
 // a reception goroutine (the paper's reception thread) pushes frames into
-// a bounded FIFO; the Read caller plays the decompression thread. With
-// Parallelism > 1 a decode pipeline (assembler, worker pool, in-order
-// collector) sits between the two and decoded holds its output.
+// a bounded FIFO; the decode pipeline (assembler, worker pool, in-order
+// collector) turns them into groups, and decoded holds its output for the
+// Read caller.
 type streamState struct {
 	frames  *fifo.Queue[recvFrame]
-	decoded *fifo.Queue[decGroup] // nil on the sequential path
-
-	// Group assembly, owned by the consumer (guarded by rmu); unused when
-	// the decode pipeline assembles groups instead.
-	asm groupAssembler
+	decoded *fifo.Queue[decResult]
 }
 
 // completedGroup is one fully assembled compressed group ready to decode.
@@ -57,16 +53,10 @@ type completedGroup struct {
 }
 
 // groupAssembler validates the frame sequence of a stream message and
-// accumulates packet payloads into complete groups. It is the one frame
-// state machine, shared by the sequential consumer and the parallel decode
-// pipeline so the two paths cannot drift.
+// accumulates packet payloads into complete groups, each in a block of its
+// own: a pool worker holds a group's block while the next group
+// assembles, and a raw group's decoded bytes alias it.
 type groupAssembler struct {
-	// reuse keeps one block buffer across groups. Only safe when each
-	// completed group is fully consumed before the next feed call (the
-	// sequential path); the parallel path hands groups to workers and
-	// needs fresh ownership per group.
-	reuse bool
-
 	inGroup bool
 	level   codec.Level
 	block   []byte
@@ -87,11 +77,6 @@ func (a *groupAssembler) feed(fr recvFrame) (g *completedGroup, end bool, err er
 		a.level = fr.level
 		a.dictOn = fr.mark == wire.MarkGroupBeginDict
 		a.dictGen = fr.dictGen
-		if a.reuse {
-			a.block = a.block[:0]
-		} else {
-			a.block = nil
-		}
 	case wire.MarkPacket:
 		if !a.inGroup {
 			return nil, false, fmt.Errorf("%w: packet outside group", wire.ErrBadFrame)
@@ -106,9 +91,7 @@ func (a *groupAssembler) feed(fr recvFrame) (g *completedGroup, end bool, err er
 			level: a.level, block: a.block, rawLen: fr.rawLen, sum: fr.checksum,
 			dictOn: a.dictOn, dictGen: a.dictGen,
 		}
-		if !a.reuse {
-			a.block = nil
-		}
+		a.block = nil // the group owns its block from here on
 		return g, false, nil
 	case wire.MarkMsgEnd:
 		if a.inGroup {
@@ -125,21 +108,18 @@ func (a *groupAssembler) feed(fr recvFrame) (g *completedGroup, end bool, err er
 // unblock with err.
 func (st *streamState) abort(err error) {
 	st.frames.Abort(err)
-	if st.decoded != nil {
-		st.decoded.Abort(err)
-	}
+	st.decoded.Abort(err)
 }
 
-// startStream launches the reception thread — and, for Parallelism > 1,
-// the parallel decode pipeline — for a stream message.
+// startStream launches the reception thread and the decode pipeline for a
+// stream message.
 func (e *Engine) startStream() *streamState {
 	e.resetRecvTrace()
-	st := &streamState{frames: fifo.New[recvFrame](e.opts.QueueCapacity)}
-	st.asm.reuse = true // the consumer decodes each group before the next
-	if e.opts.Parallelism > 1 {
-		st.decoded = fifo.New[decGroup](2 * e.opts.Parallelism)
-		go e.runDecodePipeline(st)
+	st := &streamState{
+		frames:  fifo.New[recvFrame](e.opts.QueueCapacity),
+		decoded: fifo.New[decResult](2 * e.opts.Parallelism),
 	}
+	go e.runDecodePipeline(st)
 	go e.receiveLoop(st)
 	return st
 }
@@ -211,26 +191,18 @@ func (e *Engine) receiveLoop(st *streamState) {
 	}
 }
 
-// advanceStream consumes frames until it has decoded at least one group
-// of the stream — returned as a span of decompressed bytes — the message
-// ends (errMsgEnd), or, in non-blocking mode, the FIFO runs dry (nil
-// data, nil error). The span is valid until the next advanceStream call
-// on this engine: on the sequential path it may alias the assembler's
-// reused block buffer. Callers either copy it (Read buffers it in
-// recvBuf) or hand it to the consumer under the same validity contract
-// (ReadChunk). On the parallel path the decode pipeline has already
-// turned frames into in-order groups, so this consumes those instead.
+// advanceStream consumes decoded groups until it has one with data —
+// returned as a span of decompressed bytes — the message ends (errMsgEnd),
+// or, in non-blocking mode, the pipeline has nothing ready (nil data, nil
+// error). Callers must treat the span as valid only until the next
+// advanceStream call on this engine: Read copies it into recvBuf, and
+// ReadChunk hands it to the consumer under that same contract.
 func (e *Engine) advanceStream(st *streamState, block bool) (data []byte, err error) {
-	if st.decoded != nil {
-		return e.advanceDecoded(st, block)
-	}
 	for {
-		var fr recvFrame
+		var g decResult
 		if block {
-			fr, err = st.frames.Pop()
+			g, err = st.decoded.Pop()
 			if err == io.EOF {
-				// The queue drained after MsgEnd was already consumed;
-				// a well-formed stream never gets here.
 				return nil, io.ErrUnexpectedEOF
 			}
 			if err != nil {
@@ -238,43 +210,24 @@ func (e *Engine) advanceStream(st *streamState, block bool) (data []byte, err er
 			}
 		} else {
 			var ok bool
-			fr, ok = st.frames.TryPop()
+			g, ok = st.decoded.TryPop()
 			if !ok {
 				return nil, nil
 			}
 		}
-		g, end, ferr := st.asm.feed(fr)
-		if fr.payload != nil {
-			// feed copied the payload into the assembler's block; the
-			// frame's pooled buffer is free again.
-			bufpool.Put(fr.payload)
-		}
-		switch {
-		case ferr != nil:
-			return nil, ferr
-		case end:
+		if g.end {
 			return nil, errMsgEnd
-		case g != nil:
-			var r decResult
-			if e.opts.FlowTracer.Enabled() {
-				r = e.decodeGroupTraced(*g)
-			} else {
-				r = e.decodeGroup(*g)
-			}
-			if r.err != nil {
-				return nil, r.err
-			}
-			e.stats.rawReceived.Add(int64(r.rawLen))
-			if !r.doneAt.IsZero() {
-				// Sequential consumer takes the group the moment it decodes
-				// it: the delivery wait is zero by construction.
-				e.recordRecvSpan(obs.StageDeliver, r.doneAt, 0, r.rawLen, r.level)
-			}
-			if len(r.data) == 0 {
-				continue // an empty group adds nothing to the byte stream
-			}
-			return r.data, nil
 		}
+		e.stats.rawReceived.Add(int64(g.rawLen))
+		if !g.doneAt.IsZero() && e.opts.FlowTracer.Enabled() {
+			// Deliver wait: decompression done to the consumer taking the
+			// group in wire order.
+			e.recordRecvSpan(obs.StageDeliver, g.doneAt, e.opts.FlowTracer.Now().Sub(g.doneAt), g.rawLen, g.level)
+		}
+		if len(g.data) == 0 {
+			continue // an empty group adds nothing to the byte stream
+		}
+		return g.data, nil
 	}
 }
 

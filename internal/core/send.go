@@ -71,21 +71,21 @@ func (e *Engine) writeMessage(p []byte, min, max codec.Level, tc obs.TraceContex
 		return 0, 0, ErrClosed
 	}
 	e.sendTC = tc
+	var acc int64
 	if min == codec.MinLevel && len(p) < e.opts.SmallThreshold {
-		acc, n, err := e.writeSmall(p)
-		return int(acc), n, err
+		acc, wireN, err = e.writeSmall(p)
+	} else {
+		acc, wireN, err = e.writeStream(bytes.NewReader(p), int64(len(p)), min, max)
 	}
-	acc, n, err := e.writeStream(bytes.NewReader(p), int64(len(p)), min, max)
-	if err == nil {
-		acc = int64(len(p))
-	}
-	return int(acc), n, err
+	return int(acc), wireN, err
 }
 
 // SendMessage streams size bytes from r as one AdOC message; size < 0
-// means unknown (read until EOF). It returns the raw byte count consumed
-// from r and the wire byte count — the pair adoc_send_file returns (file
-// size) and outputs (slen). This is the adoc_send_file equivalent.
+// means unknown (read until EOF). It returns the raw byte count delivered
+// and the wire byte count — the pair adoc_send_file returns (file size)
+// and outputs (slen). This is the adoc_send_file equivalent. On error raw
+// is what WriteMessageFull would report: the payload confirmed delivered,
+// never the declared size.
 func (e *Engine) SendMessage(r io.Reader, size int64) (raw, wireN int64, err error) {
 	return e.SendMessageLevels(r, size, e.opts.MinLevel, e.opts.MaxLevel)
 }
@@ -106,8 +106,7 @@ func (e *Engine) SendMessageLevels(r io.Reader, size int64, min, max codec.Level
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return 0, 0, fmt.Errorf("adoc: reading source: %w", err)
 		}
-		_, n, err := e.writeSmall(buf)
-		return size, n, err
+		return e.writeSmall(buf)
 	}
 	if size < 0 {
 		// Unknown size: peek up to SmallThreshold to decide the path.
@@ -115,20 +114,16 @@ func (e *Engine) SendMessageLevels(r io.Reader, size int64, min, max codec.Level
 		n, rerr := io.ReadFull(r, probe)
 		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
 			if min == codec.MinLevel {
-				_, w, err := e.writeSmall(probe[:n])
-				return int64(n), w, err
+				return e.writeSmall(probe[:n])
 			}
-			_, w, err := e.writeStream(bytes.NewReader(probe[:n]), int64(n), min, max)
-			return int64(n), w, err
+			return e.writeStream(bytes.NewReader(probe[:n]), int64(n), min, max)
 		}
 		if rerr != nil {
 			return 0, 0, fmt.Errorf("adoc: reading source: %w", rerr)
 		}
-		src := io.MultiReader(bytes.NewReader(probe[:n]), r)
-		return e.writeStreamCounted(src, -1, min, max)
+		r = io.MultiReader(bytes.NewReader(probe[:n]), r)
 	}
-	_, w, err := e.writeStream(r, size, min, max)
-	return size, w, err
+	return e.writeStream(r, size, min, max)
 }
 
 // writeSmall sends the no-pipeline fast path: one buffer, one system call,
@@ -163,32 +158,13 @@ func (e *Engine) writeSmall(p []byte) (accepted, wireN int64, err error) {
 	return int64(len(p)), int64(len(msg)), nil
 }
 
-// writeStreamCounted wraps writeStream, additionally counting raw bytes for
-// unknown-size sources.
-func (e *Engine) writeStreamCounted(src io.Reader, size int64, min, max codec.Level) (raw, wireN int64, err error) {
-	cr := &countingReader{r: src}
-	_, wireN, err = e.writeStream(cr, size, min, max)
-	return cr.n, wireN, err
-}
-
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // writeStream sends one stream message: header, optional probe, then
-// either the raw bypass (fast link) or the adaptive two-goroutine
-// pipeline. Caller holds wmu. delivered is the raw payload of every group
-// that fully reached the socket (the basis of the io.Writer partial-write
-// count); wireBytes counts everything written, and is folded into Stats on
-// every return path — error or not — so a mid-stream failure cannot leave
-// socket bytes unaccounted.
+// either the raw bypass (fast link) or the adaptive pipeline. Caller holds
+// wmu. delivered is the raw payload of every group that fully reached the
+// socket (the basis of the io.Writer partial-write count; on success it is
+// every byte read from src); wireBytes counts everything written, and is
+// folded into Stats on every return path — error or not — so a mid-stream
+// failure cannot leave socket bytes unaccounted.
 func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (delivered, wireBytes int64, err error) {
 	if err := e.ctrl.SetBounds(min, max); err != nil {
 		return 0, 0, err
@@ -250,14 +226,11 @@ func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (d
 	}
 
 	var d, w int64
-	switch {
-	case bypass:
+	if bypass {
 		e.stats.probeBypasses.Add(1)
 		d, w, err = e.sendRawBypass(src, remaining)
-	case e.opts.Parallelism > 1:
-		d, w, err = e.sendAdaptiveParallel(src, remaining)
-	default:
-		d, w, err = e.sendAdaptive(src, remaining)
+	} else {
+		d, w, err = e.sendPipeline(src, remaining)
 	}
 	delivered += d
 	wireBytes += w
@@ -362,87 +335,6 @@ type emitResult struct {
 	err          error
 }
 
-// sendAdaptive runs the paper's two-thread pipeline: the caller acts as
-// the compression thread, a spawned goroutine as the emission thread, and
-// a bounded FIFO of packets in between. remaining < 0 means until EOF.
-// Parallelism > 1 takes sendAdaptiveParallel instead.
-func (e *Engine) sendAdaptive(src io.Reader, remaining int64) (delivered, wireBytes int64, err error) {
-	if remaining == 0 {
-		return 0, 0, nil
-	}
-	tc := e.sendTC
-	tr := e.opts.FlowTracer
-	q := fifo.New[segment](e.opts.QueueCapacity)
-	res := make(chan emitResult, 1)
-	go e.runEmitter(q, res, tc)
-
-	buf := bufpool.Get(e.opts.BufferSize)
-	defer bufpool.Put(buf)
-	var scratch []byte
-	defer func() {
-		if scratch != nil {
-			bufpool.Put(scratch)
-		}
-	}()
-	var sendErr error
-	for remaining != 0 {
-		want := int64(len(buf))
-		if remaining > 0 && remaining < want {
-			want = remaining
-		}
-		n, rerr := io.ReadFull(src, buf[:want])
-		if n > 0 {
-			level := e.ctrl.LevelForNextBuffer(q.Len())
-			level, class := e.classifyBuffer(level, buf[:n])
-			e.noteContent(class)
-			if scratch == nil && level == codec.LZF {
-				scratch = bufpool.Get(e.opts.BufferSize)
-			}
-			// Sequential path: the caller is the compression thread, so
-			// there is no enqueue or queue wait to measure — the compress
-			// span starts right here.
-			var ct time.Time
-			if tc.Sampled {
-				ct = tr.Now()
-			}
-			if err := e.compressBufferAt(q, level, buf[:n], scratch); err != nil {
-				sendErr = err
-				break
-			}
-			if tc.Sampled {
-				tr.Record(tc, 0, obs.StageCompress, ct, tr.Now().Sub(ct), n, int(level))
-			}
-			e.stats.rawSent.Add(int64(n))
-			if remaining > 0 {
-				remaining -= int64(n)
-			}
-		}
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-			if remaining > 0 {
-				sendErr = fmt.Errorf("adoc: source ended %d bytes early: %w", remaining, io.ErrUnexpectedEOF)
-			}
-			break
-		}
-		if rerr != nil {
-			sendErr = fmt.Errorf("adoc: reading source: %w", rerr)
-			break
-		}
-	}
-	if sendErr != nil {
-		q.Abort(sendErr)
-	} else {
-		q.CloseSend()
-	}
-	r := <-res
-	if hw := int64(q.HighWater()); hw > e.stats.queueHigh.Load() {
-		e.stats.queueHigh.Store(hw)
-	}
-	if sendErr != nil {
-		return r.rawDelivered, r.wireBytes, sendErr
-	}
-	return r.rawDelivered, r.wireBytes, r.err
-}
-
 // runEmitter is the emission thread: it drains the FIFO onto the socket
 // and measures per-group delivery time, feeding the divergence guard.
 // The message's flow-trace context arrives as a parameter (captured
@@ -487,17 +379,10 @@ func (e *Engine) runEmitter(q *fifo.Queue[segment], res chan<- emitResult, tc ob
 	}
 }
 
-// segDst receives the wire-framed segments of a compressed group: the
-// emission FIFO on the sequential path, a per-worker reorder list on the
-// parallel path.
-type segDst interface {
-	Push(segment) error
-}
-
 // contentClass is the entropy probe's verdict on one adaptation buffer,
 // reported back to the controller separately from the compression work so
-// the parallel path can apply feedback in buffer order, not worker
-// completion order.
+// the pipeline can apply feedback in buffer order, not worker completion
+// order.
 type contentClass int8
 
 const (
@@ -534,9 +419,8 @@ func (e *Engine) classifyBuffer(level codec.Level, chunk []byte) (codec.Level, c
 	return level, classCompressible
 }
 
-// noteContent feeds one buffer's probe verdict to the controller. Callers
-// must invoke it in buffer (stream) order — the sequential path inline,
-// the parallel path from its in-order reassembly stage — so the
+// noteContent feeds one buffer's probe verdict to the controller. The
+// in-order reassembly stage invokes it in buffer (stream) order, so the
 // consecutive-bypass run the controller tracks matches what actually went
 // on the wire.
 func (e *Engine) noteContent(class contentClass) {
@@ -560,15 +444,15 @@ func (e *Engine) noteContent(class contentClass) {
 
 // compressBufferAt handles one adaptation unit (≤ BufferSize bytes) at a
 // level the caller already resolved (controller choice, possibly lowered
-// to 0 by the entropy probe): compresses and pushes wire-framed packets
-// into dst. It implements the incompressible-data guard by aborting
+// to 0 by the entropy probe): compresses and appends wire-framed packets
+// to dst. It implements the incompressible-data guard by aborting
 // DEFLATE buffers whose running ratio is poor and sending the remainder
 // raw. scratch, when non-nil, is a caller-owned buffer reused for LZF
 // blocks (the segments copy out of it before returning).
-func (e *Engine) compressBufferAt(dst segDst, level codec.Level, chunk, scratch []byte) error {
+func (e *Engine) compressBufferAt(dst *segList, level codec.Level, chunk, scratch []byte) error {
 	switch {
 	case level == codec.MinLevel:
-		return e.pushBlockGroup(dst, codec.MinLevel, chunk, chunk)
+		e.pushBlockGroup(dst, codec.MinLevel, chunk, chunk)
 	case level == codec.LZF:
 		blk, used, err := codec.CompressAppend(scratch, codec.LZF, chunk)
 		if err != nil {
@@ -577,23 +461,23 @@ func (e *Engine) compressBufferAt(dst segDst, level codec.Level, chunk, scratch 
 		if used == codec.MinLevel {
 			// Did not shrink: raw group plus the incompressible pin.
 			e.ctrl.NotePacketRatio(codec.LZF, len(chunk), len(chunk))
-			return e.pushBlockGroup(dst, codec.MinLevel, chunk, chunk)
+			e.pushBlockGroup(dst, codec.MinLevel, chunk, chunk)
+		} else {
+			e.ctrl.NotePacketRatio(used, len(chunk), len(blk))
+			e.pushBlockGroup(dst, used, blk, chunk)
 		}
-		e.ctrl.NotePacketRatio(used, len(chunk), len(blk))
-		return e.pushBlockGroup(dst, used, blk, chunk)
 	default:
 		return e.pushFlateGroup(dst, level, chunk, e.msgDict)
 	}
+	return nil
 }
 
 // pushBlockGroup frames a fully materialized group (raw or LZF block) into
 // packet segments. raw is the uncompressed data (for the checksum).
-func (e *Engine) pushBlockGroup(dst segDst, level codec.Level, block, raw []byte) error {
+func (e *Engine) pushBlockGroup(dst *segList, level codec.Level, block, raw []byte) {
 	p := newPacketizer(e, dst, level)
-	if _, err := p.Write(block); err != nil {
-		return err
-	}
-	return p.finish(len(raw), adler32.Checksum(raw))
+	_, _ = p.Write(block) // appends to dst; cannot fail
+	p.finish(len(raw), adler32.Checksum(raw))
 }
 
 // pushFlateGroup streams chunk through a DEFLATE compressor, checking the
@@ -601,7 +485,7 @@ func (e *Engine) pushBlockGroup(dst segDst, level codec.Level, block, raw []byte
 // early (paper §5 "Compressed and random data"). A non-nil d compresses
 // against d's dictionary and stamps the group with d's generation so the
 // receiver resolves the same dictionary before inflating.
-func (e *Engine) pushFlateGroup(dst segDst, level codec.Level, chunk []byte, d *sendDict) error {
+func (e *Engine) pushFlateGroup(dst *segList, level codec.Level, chunk []byte, d *sendDict) error {
 	p := newPacketizer(e, dst, level)
 	var sw codec.StreamWriter
 	var err error
@@ -640,22 +524,21 @@ func (e *Engine) pushFlateGroup(dst segDst, level codec.Level, chunk []byte, d *
 	if err := sw.Close(); err != nil {
 		return err
 	}
-	if err := p.finish(fed, adler32.Checksum(chunk[:fed])); err != nil {
-		return err
-	}
+	p.finish(fed, adler32.Checksum(chunk[:fed]))
 	if aborted && fed < len(chunk) {
 		// Remainder of the buffer goes out raw.
 		rest := chunk[fed:]
-		return e.pushBlockGroup(dst, codec.MinLevel, rest, rest)
+		e.pushBlockGroup(dst, codec.MinLevel, rest, rest)
 	}
 	return nil
 }
 
 // packetizer is an io.Writer that cuts a group's byte stream into
-// packet-framed segments of at most PacketSize payload bytes.
+// packet-framed segments of at most PacketSize payload bytes. Its writes
+// only append to a segment list, so they never fail.
 type packetizer struct {
 	e       *Engine
-	dst     segDst
+	dst     *segList
 	level   codec.Level
 	dict    bool   // open with a dict groupBegin frame
 	dictGen uint32 // the generation it announces
@@ -663,10 +546,9 @@ type packetizer struct {
 	first   bool
 	total   int // compressed bytes accepted so far
 	wire    int // wire bytes pushed so far (framing included)
-	packets int
 }
 
-func newPacketizer(e *Engine, dst segDst, level codec.Level) *packetizer {
+func newPacketizer(e *Engine, dst *segList, level codec.Level) *packetizer {
 	return &packetizer{e: e, dst: dst, level: level, first: true,
 		pending: bufpool.Get(e.opts.PacketSize)[:0]}
 }
@@ -683,20 +565,18 @@ func (p *packetizer) Write(b []byte) (int, error) {
 		p.pending = append(p.pending, b[:take]...)
 		b = b[take:]
 		if len(p.pending) == p.e.opts.PacketSize {
-			if err := p.flushPacket(false, 0, 0); err != nil {
-				return n - len(b), err
-			}
+			p.flushPacket(false, 0, 0)
 		}
 	}
 	return n, nil
 }
 
-// flushPacket pushes the pending payload as one segment. When end is true
+// flushPacket appends the pending payload as one segment. When end is true
 // the groupEnd frame (with rawLen and checksum) is glued onto the same
 // segment so the group closes without an extra FIFO slot.
-func (p *packetizer) flushPacket(end bool, rawLen int, sum uint32) error {
+func (p *packetizer) flushPacket(end bool, rawLen int, sum uint32) {
 	if len(p.pending) == 0 && !end {
-		return nil
+		return
 	}
 	// The frame buffer travels through the FIFO to the emission thread,
 	// which recycles it after the socket write.
@@ -710,7 +590,6 @@ func (p *packetizer) flushPacket(end bool, rawLen int, sum uint32) error {
 	}
 	if len(p.pending) > 0 {
 		frame = wire.AppendPacket(frame, p.pending)
-		p.packets++
 	}
 	if end {
 		frame = wire.AppendGroupEnd(frame, rawLen, sum)
@@ -728,22 +607,16 @@ func (p *packetizer) flushPacket(end bool, rawLen int, sum uint32) error {
 		seg.groupRaw = rawLen
 		seg.groupWire = p.wire
 	}
-	if err := p.dst.Push(seg); err != nil {
-		return err
-	}
-	if len(seg.data) > 0 {
-		p.e.ctrl.NotePacketsSent(1)
-	}
-	return nil
+	*p.dst = append(*p.dst, seg)
+	p.e.ctrl.NotePacketsSent(1)
 }
 
 // finish closes the group, emitting any partial packet plus the groupEnd
 // frame, and releases the staging buffer.
-func (p *packetizer) finish(rawLen int, sum uint32) error {
-	err := p.flushPacket(true, rawLen, sum)
+func (p *packetizer) finish(rawLen int, sum uint32) {
+	p.flushPacket(true, rawLen, sum)
 	bufpool.Put(p.pending)
 	p.pending = nil
-	return err
 }
 
 // maxFrameOverhead bounds the non-payload bytes a single segment can carry:
