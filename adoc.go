@@ -59,11 +59,6 @@ const (
 	MaskRaw     = codec.MaskRaw
 	MaskLZF     = codec.MaskLZF
 	MaskDeflate = codec.MaskDeflate
-	// MaskDict is the dictionary-DEFLATE codec: DEFLATE primed with a
-	// shared dictionary trained from recent traffic. It is negotiated like
-	// any other codec bit but engaged per-group by the consumer layer
-	// (adocmux) rather than by the level ladder.
-	MaskDict = codec.MaskDict
 	// LegacyCodecMask is the fixed raw/LZF/DEFLATE ladder every peer spoke
 	// before codec sets were negotiated.
 	LegacyCodecMask = codec.LegacyMask

@@ -58,7 +58,6 @@ import (
 
 	"adoc"
 	"adoc/adocnet"
-	"adoc/internal/codec"
 	"adoc/internal/wire"
 )
 
@@ -114,20 +113,6 @@ type Config struct {
 	// MaxBatch caps the bytes of queued frames before data writers block
 	// (default DefaultMaxBatch).
 	MaxBatch int
-	// EnableDict turns on dictionary compression for this session's
-	// outgoing traffic: recent stream payloads are sampled into a training
-	// ring, and every DictRetrainBytes of data a dictionary is built,
-	// announced to the peer in-band (wire.MuxDict), and used to prime the
-	// DEFLATE groups of subsequent batches. It only takes effect when the
-	// connection negotiated the dict capability (adocnet.Negotiated.Dict);
-	// against older peers the session behaves — byte for byte — as if the
-	// knob were off. The receive side needs no knob: announced
-	// dictionaries are always installed.
-	EnableDict bool
-	// DictRetrainBytes is the outgoing payload volume between dictionary
-	// retrains (default codec.DefaultRetrainBytes). Only meaningful with
-	// EnableDict.
-	DictRetrainBytes int
 	// Metrics is the registry this session's stream accounting publishes
 	// to; nil selects the process-wide adoc.DefaultMetrics(). Note the
 	// underlying connection's engine metrics bind separately, through the
@@ -158,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.DictRetrainBytes <= 0 {
-		c.DictRetrainBytes = codec.DefaultRetrainBytes
 	}
 	return c
 }

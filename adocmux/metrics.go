@@ -24,9 +24,6 @@ const (
 	// MetricWindowGrants counts credit grant frames sent to the peer
 	// (steady-state grants, surplus top-ups, and dead-stream refunds).
 	MetricWindowGrants = "adoc_mux_window_grants_total"
-	// MetricDictRetrains counts dictionary generations announced to the
-	// peer (the initial training included).
-	MetricDictRetrains = "adoc_mux_dict_retrains_total"
 )
 
 // sessionMetrics holds one session's children of the registry families.
@@ -40,7 +37,6 @@ type sessionMetrics struct {
 	batches         *obs.Counter
 	batchBytes      *obs.Counter
 	windowGrants    *obs.Counter
-	dictRetrains    *obs.Counter
 }
 
 func newSessionMetrics(reg *obs.Registry) sessionMetrics {
@@ -55,6 +51,5 @@ func newSessionMetrics(reg *obs.Registry) sessionMetrics {
 		batches:         reg.Counter(MetricBatchesSent, "Coalesced frame batches shipped.").Child(),
 		batchBytes:      reg.Counter(MetricBatchBytes, "Frame bytes those batches carried.").Child(),
 		windowGrants:    reg.Counter(MetricWindowGrants, "Credit grant frames sent to the peer.").Child(),
-		dictRetrains:    reg.Counter(MetricDictRetrains, "Dictionary generations announced to the peer.").Child(),
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"adoc"
 	"adoc/adocnet"
-	"adoc/internal/codec"
 	"adoc/internal/wire"
 )
 
@@ -47,19 +46,6 @@ type Session struct {
 	flushGone bool   // Close's flush wait timed out; stop waiting
 	sendErr   error
 	batchTC   adoc.TraceContext // trace context of the batch being built
-
-	// Dictionary training (guarded by sendMu; active only when
-	// cfg.EnableDict and the connection negotiated the dict capability).
-	// annGen/annDict is the generation announced inside the batch being
-	// built: its MuxDict frame rides in a batch still compressed with the
-	// previous generation, and the send loop switches the engine to it
-	// only after that batch has been written — so the peer installs every
-	// generation strictly before the first message compressed against it.
-	dictOn  bool
-	trainer *codec.DictTrainer
-	dictGen uint32 // last generation announced
-	annGen  uint32
-	annDict []byte // nil when the current batch announces nothing
 }
 
 // sampleBatchLocked runs under sendMu at the instant a new batch opens
@@ -121,10 +107,6 @@ func newSession(conn *adocnet.Conn, cfg Config, client bool) (*Session, error) {
 	s.events = adoc.Events(cfg.Metrics)
 	s.connID = h.ID()
 	s.sendCond = sync.NewCond(&s.sendMu)
-	if cfg.EnableDict && conn.Negotiated().Dict {
-		s.dictOn = true
-		s.trainer = codec.NewDictTrainer()
-	}
 	go s.sendLoop()
 	go s.demuxLoop()
 	return s, nil
@@ -382,34 +364,8 @@ func (s *Session) enqueueData(id uint32, p []byte, st *Stream) error {
 		s.sampleBatchLocked()
 	}
 	s.sendBuf = wire.AppendMuxData(s.sendBuf, id, p)
-	if s.dictOn {
-		s.trainDictLocked(p)
-	}
 	s.sendCond.Signal()
 	return nil
-}
-
-// trainDictLocked (under sendMu) samples one outgoing payload and, every
-// DictRetrainBytes of traffic, builds the next dictionary generation and
-// announces it at the tail of the batch being built. The batch itself is
-// still compressed with the previous generation; the send loop installs
-// the new one on the engine only after the announcing batch has shipped,
-// so no group compressed against a generation ever precedes that
-// generation's bytes on the wire. At most one generation is announced per
-// batch — a second retrain trigger waits for the next batch.
-func (s *Session) trainDictLocked(p []byte) {
-	s.trainer.Sample(p)
-	if s.annDict != nil || s.trainer.Pending() < int64(s.cfg.DictRetrainBytes) {
-		return
-	}
-	dict := s.trainer.Build()
-	if len(dict) == 0 {
-		return
-	}
-	s.dictGen++
-	s.annGen, s.annDict = s.dictGen, dict
-	s.sendBuf = wire.AppendMuxDict(s.sendBuf, s.annGen, dict)
-	s.metrics.dictRetrains.Inc()
 }
 
 // wakeSenders pokes every goroutine waiting on the send-side condition —
@@ -437,8 +393,6 @@ func (s *Session) sendLoop() {
 		}
 		batch := s.sendBuf
 		tc := s.batchTC
-		annGen, annDict := s.annGen, s.annDict
-		s.annDict = nil
 		s.batchTC = adoc.TraceContext{}
 		s.sendBuf = s.spare[:0]
 		s.spare = nil
@@ -450,13 +404,6 @@ func (s *Session) sendLoop() {
 		if err == nil {
 			s.metrics.batches.Inc()
 			s.metrics.batchBytes.Add(int64(len(batch)))
-			if annDict != nil {
-				// The announcing batch is on the wire (compressed with the
-				// previous generation); messages from here on may use the
-				// new one — the peer's demux installs it before their
-				// groups decode.
-				s.conn.SetSendDict(annGen, annDict)
-			}
 		}
 
 		s.sendMu.Lock()
@@ -513,13 +460,6 @@ func (s *Session) handleFrame(f wire.MuxFrame) error {
 		// before this frame decoded (receive, decompress) flush under the
 		// sender's trace ID.
 		s.conn.AdoptRecvTrace(adoc.TraceContext{ID: f.TraceID, Sampled: f.TraceSampled})
-
-	case wire.MuxDict:
-		// The peer announced a dictionary generation. Install it
-		// unconditionally — the engine copies the bytes (f.Payload may
-		// alias the decode buffer) and retains a window of generations, so
-		// in-flight groups of older messages still decode.
-		s.conn.InstallRecvDict(f.DictGen, f.Payload)
 
 	case wire.MuxOpen:
 		if !s.remoteID(f.StreamID) {

@@ -114,13 +114,6 @@ type Options struct {
 	// existed. Local span recording still works with it disabled — only
 	// cross-hop propagation needs both sides; see Negotiated.Trace.
 	DisableTrace bool
-
-	// DisableDict stops this endpoint from advertising dictionary
-	// compression: the handshake flag is withheld AND the dict codec bit
-	// is stripped from the offered capability mask, making the endpoint
-	// indistinguishable from a peer built before shared dictionaries
-	// existed. See Negotiated.Dict.
-	DisableDict bool
 }
 
 // Defaults returns the paper configuration with the full adaptive level
@@ -156,13 +149,6 @@ type Negotiated struct {
 	// tracing stays local to each endpoint and no new bytes hit the
 	// wire.
 	Trace bool
-	// Dict reports that dictionary compression may run on this
-	// connection: both endpoints advertised the dict handshake flag, the
-	// dict codec survived the mask intersection, and Mux is on (the
-	// dictionary bytes travel as mux control frames). With it off no
-	// MuxDict frame and no dict group ever hits the wire, so flagless
-	// legacy peers see byte-identical traffic.
-	Dict bool
 }
 
 func (n Negotiated) String() string {
@@ -173,9 +159,6 @@ func (n Negotiated) String() string {
 	}
 	if n.Trace {
 		s += " +trace"
-	}
-	if n.Dict {
-		s += " +dict"
 	}
 	return s
 }
@@ -206,13 +189,6 @@ func offer(o Options) (wire.Handshake, error) {
 	}
 	if !o.DisableTrace {
 		flags |= wire.HandshakeFlagTrace
-	}
-	if o.DisableDict {
-		// Legacy emulation must be complete: withhold the flag AND the
-		// codec bit, so the peer's intersection matches a real old peer's.
-		eff.Codecs &^= adoc.MaskDict
-	} else {
-		flags |= wire.HandshakeFlagDict
 	}
 	return wire.Handshake{
 		MinVersion: wire.Version,
@@ -296,12 +272,6 @@ func negotiate(local, remote wire.Handshake) (Negotiated, error) {
 			ErrCodecMismatch, n.MinLevel, n.MaxLevel, n.Codecs)
 	}
 	n.MinLevel = minLevel
-	// Dictionary compression needs the flag from both sides, the dict
-	// codec in the agreed set, and a mux session to carry the dictionary
-	// bytes. Any of the three missing and the connection behaves exactly
-	// like a pre-dictionary one.
-	n.Dict = local.Flags&remote.Flags&wire.HandshakeFlagDict != 0 &&
-		n.Codecs&adoc.MaskDict != 0 && n.Mux
 	return n, nil
 }
 
@@ -453,7 +423,6 @@ func Handshake(conn net.Conn, opts Options) (c *Conn, err error) {
 		Codecs:      neg.Codecs.String(),
 		Mux:         neg.Mux,
 		Trace:       neg.Trace,
-		Dict:        neg.Dict,
 	})
 	return &Conn{Conn: ac, raw: conn, neg: neg}, nil
 }

@@ -71,8 +71,8 @@ func TestNegotiationIntersection(t *testing.T) {
 
 	cli, srv := pair(t, client, server)
 	want := Negotiated{Version: wire.Version, PacketSize: 4096, BufferSize: 64 * 1024,
-		MinLevel: 2, MaxLevel: 8, Codecs: adoc.LegacyCodecMask | adoc.MaskDict,
-		Mux: true, Trace: true, Dict: true}
+		MinLevel: 2, MaxLevel: 8, Codecs: adoc.LegacyCodecMask,
+		Mux: true, Trace: true}
 	if cli.Negotiated() != want {
 		t.Errorf("client negotiated %v, want %v", cli.Negotiated(), want)
 	}

@@ -21,7 +21,7 @@ func TestCodecMaskNegotiation(t *testing.T) {
 		wantCodecs     adoc.CodecMask
 		wantMax        adoc.Level
 	}{
-		{"both full", 0, 0, adoc.LegacyCodecMask | adoc.MaskDict, 10},
+		{"both full", 0, 0, adoc.LegacyCodecMask, 10},
 		{"server lzf only", 0, adoc.MaskRaw | adoc.MaskLZF, adoc.MaskRaw | adoc.MaskLZF, 1},
 		{"client raw only", adoc.MaskRaw, 0, adoc.MaskRaw, 0},
 		{"deflate without lzf", adoc.MaskRaw | adoc.MaskDeflate, 0, adoc.MaskRaw | adoc.MaskDeflate, 10},
@@ -255,9 +255,6 @@ func TestLegacyFlaglessPeerTransfer(t *testing.T) {
 	neg := cli.Negotiated()
 	if neg.Mux {
 		t.Errorf("negotiated mux with a flagless peer: %v", neg)
-	}
-	if neg.Dict {
-		t.Errorf("negotiated dict with a flagless peer: %v", neg)
 	}
 	if neg.Codecs != adoc.LegacyCodecMask {
 		t.Errorf("negotiated codecs %v, want legacy set %v", neg.Codecs, adoc.LegacyCodecMask)

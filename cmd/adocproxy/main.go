@@ -38,8 +38,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"regexp"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -279,94 +277,4 @@ func FormatStats(s adoc.Stats, tunnel ...TunnelTraffic) string {
 		fmt.Fprintf(&b, " piped(in)=%dB piped(out)=%dB", tunnel[0].In, tunnel[0].Out)
 	}
 	return b.String()
-}
-
-// StatsLine is the parsed form of one FormatStats line — what an operator
-// (or a scraper) reads off the -stats output.
-type StatsLine struct {
-	Raw, Wire  int64
-	Ratio      float64
-	Level      int
-	Min, Max   int
-	Pinned     int
-	BypassRun  int
-	Forbidden  []adoc.Level
-	LevelBwMBs float64
-	Tunnel     TunnelTraffic
-}
-
-var statsLineRE = regexp.MustCompile(
-	`raw=(\d+)B wire=(\d+)B ratio=([\d.]+) level=(\d+) bounds=\[(\d+),(\d+)\]` +
-		`(?: pinned\(incompressible\)=(\d+)pkts)?` +
-		`(?: bypass\(entropy\)=(\d+)bufs)?` +
-		`(?: forbidden\(diverged\)=\[([^\]]*)\])?` +
-		`(?: level-bw=([\d.]+)MB/s)?` +
-		`(?: piped\(in\)=(\d+)B piped\(out\)=(\d+)B)?`)
-
-// ParseStats decodes a FormatStats line. It is the test- and
-// tooling-facing inverse of FormatStats: the two are pinned against each
-// other so the -stats output cannot silently drift into something
-// unparseable.
-func ParseStats(line string) (StatsLine, error) {
-	m := statsLineRE.FindStringSubmatch(line)
-	if m == nil {
-		return StatsLine{}, fmt.Errorf("adocproxy: unparseable stats line %q", line)
-	}
-	var s StatsLine
-	s.Raw, _ = strconv.ParseInt(m[1], 10, 64)
-	s.Wire, _ = strconv.ParseInt(m[2], 10, 64)
-	s.Ratio, _ = strconv.ParseFloat(m[3], 64)
-	s.Level, _ = strconv.Atoi(m[4])
-	s.Min, _ = strconv.Atoi(m[5])
-	s.Max, _ = strconv.Atoi(m[6])
-	if m[7] != "" {
-		s.Pinned, _ = strconv.Atoi(m[7])
-	}
-	if m[8] != "" {
-		s.BypassRun, _ = strconv.Atoi(m[8])
-	}
-	if m[9] != "" {
-		forb, err := parseLevelList(m[9])
-		if err != nil {
-			return StatsLine{}, err
-		}
-		s.Forbidden = forb
-	}
-	if m[10] != "" {
-		s.LevelBwMBs, _ = strconv.ParseFloat(m[10], 64)
-	}
-	if m[11] != "" {
-		s.Tunnel.In, _ = strconv.ParseInt(m[11], 10, 64)
-		s.Tunnel.Out, _ = strconv.ParseInt(m[12], 10, 64)
-	}
-	return s, nil
-}
-
-// parseLevelList reads the %v rendering of []adoc.Level — level names,
-// space-separated, where "gzip N" is itself two tokens ("none", "lzf",
-// "gzip 4 gzip 7" ...).
-func parseLevelList(list string) ([]adoc.Level, error) {
-	toks := strings.Fields(list)
-	var out []adoc.Level
-	for i := 0; i < len(toks); i++ {
-		switch toks[i] {
-		case "none":
-			out = append(out, 0)
-		case "lzf":
-			out = append(out, 1)
-		case "gzip":
-			i++
-			if i >= len(toks) {
-				return nil, fmt.Errorf("adocproxy: dangling gzip in level list %q", list)
-			}
-			n, err := strconv.Atoi(toks[i])
-			if err != nil {
-				return nil, fmt.Errorf("adocproxy: bad gzip level in %q: %w", list, err)
-			}
-			out = append(out, adoc.Level(n+1))
-		default:
-			return nil, fmt.Errorf("adocproxy: unknown level %q in %q", toks[i], list)
-		}
-	}
-	return out, nil
 }

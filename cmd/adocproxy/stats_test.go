@@ -2,91 +2,23 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
-	"time"
 
-	"adoc"
 	"adoc/adocmux"
 	"adoc/adocnet"
-	"adoc/internal/adapt"
 	"adoc/internal/datagen"
 )
 
-// TestParseStatsRoundtrip pins ParseStats against FormatStats on a
-// fully-populated snapshot — every field the proxy can print must come
-// back out.
-func TestParseStatsRoundtrip(t *testing.T) {
-	s := adoc.Stats{RawSent: 4000, WireSent: 1000}
-	s.Adapt = adapt.Snapshot{
-		Level: 4, Min: 1, Max: 9,
-		PinRemaining: 3,
-		BypassRun:    2,
-		ForbiddenFor: make([]time.Duration, int(adoc.MaxLevel)+1),
-		BandwidthBps: make([]float64, int(adoc.MaxLevel)+1),
-	}
-	s.Adapt.ForbiddenFor[1] = 100 * time.Millisecond
-	s.Adapt.ForbiddenFor[5] = 300 * time.Millisecond
-	s.Adapt.ForbiddenFor[8] = 50 * time.Millisecond
-	s.Adapt.BandwidthBps[4] = 12_500_000
-
-	got, err := ParseStats(FormatStats(s, TunnelTraffic{In: 5000, Out: 6000}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Raw != 4000 || got.Wire != 1000 || got.Ratio != 4.0 {
-		t.Errorf("byte counters: %+v", got)
-	}
-	if got.Level != 4 || got.Min != 1 || got.Max != 9 {
-		t.Errorf("level/bounds: %+v", got)
-	}
-	if got.Pinned != 3 || got.BypassRun != 2 {
-		t.Errorf("pin/bypass: %+v", got)
-	}
-	wantForb := []adoc.Level{1, 5, 8}
-	if len(got.Forbidden) != len(wantForb) {
-		t.Fatalf("forbidden = %v, want %v", got.Forbidden, wantForb)
-	}
-	for i, l := range wantForb {
-		if got.Forbidden[i] != l {
-			t.Fatalf("forbidden = %v, want %v", got.Forbidden, wantForb)
-		}
-	}
-	if got.LevelBwMBs != 12.5 {
-		t.Errorf("level bandwidth: %+v", got)
-	}
-	if got.Tunnel.In != 5000 || got.Tunnel.Out != 6000 {
-		t.Errorf("tunnel bytes: %+v", got.Tunnel)
-	}
-
-	// Quiet line: optional fields absent, parse still succeeds.
-	quiet := adoc.Stats{}
-	quiet.Adapt = adapt.Snapshot{
-		ForbiddenFor: make([]time.Duration, int(adoc.MaxLevel)+1),
-		BandwidthBps: make([]float64, int(adoc.MaxLevel)+1),
-	}
-	q, err := ParseStats(FormatStats(quiet))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Pinned != 0 || q.BypassRun != 0 || len(q.Forbidden) != 0 {
-		t.Errorf("quiet line parsed as %+v", q)
-	}
-	if q.Tunnel != (TunnelTraffic{}) {
-		t.Errorf("quiet line grew tunnel bytes: %+v", q.Tunnel)
-	}
-
-	if _, err := ParseStats("not a stats line"); err == nil {
-		t.Error("garbage line parsed without error")
-	}
-}
-
 // TestStatsOutputFromLiveTunnel stands up the real gateway chain —
 // plain-TCP client, ingress, one AdOC connection, egress, plain-TCP echo
-// backend — pushes traffic through it, and parses the ingress's -stats
-// line instead of merely smoke-running it: the printed adapt snapshot
-// must carry the negotiated bounds and a coherent level.
+// backend — pushes traffic through it, and checks the values the
+// ingress's -stats line renders instead of merely smoke-running it: the
+// adapt snapshot must carry the negotiated bounds and a coherent level,
+// and the line must print them.
 func TestStatsOutputFromLiveTunnel(t *testing.T) {
 	// Backend echo server.
 	backend, err := net.Listen("tcp", "127.0.0.1:0")
@@ -164,28 +96,34 @@ func TestStatsOutputFromLiveTunnel(t *testing.T) {
 	}
 	pin, pout := in.TunnelBytes()
 	line := FormatStats(st, TunnelTraffic{In: pin, Out: pout})
-	parsed, err := ParseStats(line)
-	if err != nil {
-		t.Fatalf("live stats line unparseable: %v\nline: %s", err, line)
+	lv := st.Adapt
+	if lv.Min != 1 || lv.Max != 9 {
+		t.Errorf("bounds [%d,%d], want negotiated [1,9]\nline: %s", lv.Min, lv.Max, line)
 	}
-	if parsed.Min != 1 || parsed.Max != 9 {
-		t.Errorf("parsed bounds [%d,%d], want negotiated [1,9]\nline: %s", parsed.Min, parsed.Max, line)
+	if lv.Level < lv.Min || lv.Level > lv.Max {
+		t.Errorf("level %d outside bounds [%d,%d]\nline: %s", lv.Level, lv.Min, lv.Max, line)
 	}
-	if parsed.Level < parsed.Min || parsed.Level > parsed.Max {
-		t.Errorf("parsed level %d outside bounds [%d,%d]\nline: %s", parsed.Level, parsed.Min, parsed.Max, line)
-	}
-	if parsed.Raw <= 0 || parsed.Wire <= 0 {
-		t.Errorf("parsed byte counters raw=%d wire=%d\nline: %s", parsed.Raw, parsed.Wire, line)
+	if st.RawSent <= 0 || st.WireSent <= 0 {
+		t.Errorf("byte counters raw=%d wire=%d\nline: %s", st.RawSent, st.WireSent, line)
 	}
 	// Compression floor 1 on compressible text: the tunnel must have
-	// saved bytes, and the parsed ratio must agree with the counters.
-	if parsed.Wire >= parsed.Raw {
-		t.Errorf("tunnel did not compress: raw=%d wire=%d\nline: %s", parsed.Raw, parsed.Wire, line)
+	// saved bytes.
+	if st.WireSent >= st.RawSent {
+		t.Errorf("tunnel did not compress: raw=%d wire=%d\nline: %s", st.RawSent, st.WireSent, line)
 	}
 	// The 1 MB pushed in and the 1 MB echoed back both crossed the
-	// ingress pipes; the printed gateway counters must carry them.
-	if parsed.Tunnel.In < int64(len(payload)) || parsed.Tunnel.Out < int64(len(payload)) {
-		t.Errorf("tunnel bytes in=%d out=%d, want >= %d each\nline: %s",
-			parsed.Tunnel.In, parsed.Tunnel.Out, len(payload), line)
+	// ingress pipes; the gateway counters must carry them.
+	if pin < int64(len(payload)) || pout < int64(len(payload)) {
+		t.Errorf("tunnel bytes in=%d out=%d, want >= %d each\nline: %s", pin, pout, len(payload), line)
+	}
+	// The line renders exactly these values.
+	for _, want := range []string{
+		fmt.Sprintf("raw=%dB wire=%dB", st.RawSent, st.WireSent),
+		fmt.Sprintf("level=%d bounds=[1,9]", lv.Level),
+		fmt.Sprintf("piped(in)=%dB piped(out)=%dB", pin, pout),
+	} {
+		if !strings.Contains(line, want) {
+			t.Errorf("stats line %q missing %q", line, want)
+		}
 	}
 }

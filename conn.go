@@ -96,19 +96,6 @@ func (c *Conn) RecvTraceContext() (TraceContext, bool) { return c.eng.RecvTraceC
 // none was configured).
 func (c *Conn) FlowTracer() *FlowTracer { return c.eng.FlowTracer() }
 
-// SetSendDict installs a compression dictionary (with its generation
-// number) for messages written after this call; nil clears it. The caller
-// owns delivery: the peer must have installed the same generation (via
-// InstallRecvDict) before a message compressed against it arrives — the
-// adocmux session announces generations in-band one message ahead to
-// guarantee exactly that.
-func (c *Conn) SetSendDict(gen uint32, dict []byte) { c.eng.SetSendDict(gen, dict) }
-
-// InstallRecvDict installs one received dictionary generation for the
-// decode side. A bounded window of recent generations is retained so
-// groups already in flight across a retrain still decode.
-func (c *Conn) InstallRecvDict(gen uint32, dict []byte) { c.eng.InstallRecvDict(gen, dict) }
-
 // SendStream transmits size bytes from r as one message (size < 0 means
 // until EOF). It returns the raw and wire byte counts.
 func (c *Conn) SendStream(r io.Reader, size int64) (raw, sent int64, err error) {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"adoc/adocmux"
 	"adoc/adocrpc"
 	"adoc/internal/datagen"
 	"adoc/internal/netsim"
@@ -22,15 +21,15 @@ type rpcLoadPoint struct {
 	concurrency int
 	calls       int  // total calls across all workers
 	payload     int  // request payload bytes (response echoes it back)
-	dict        bool // dictionary compression + response delta encoding
+	delta       bool // response delta encoding
 }
 
 // rpcLoadPoints scales the workload to each network: enough traffic for
 // the adaptive pipeline to engage, small enough that the WAN rows finish
 // in seconds. maxPayload (from Config.MaxSize) caps the per-call
 // payload for CI-speed runs. Each network runs twice — plain, then with
-// the dictionary codec and response deltas — so the report carries the
-// redundancy-exploiting stack's win over the same traffic.
+// response deltas — so the report carries the delta encoding's win over
+// the same traffic.
 func rpcLoadPoints(seed int64, maxPayload int64) []rpcLoadPoint {
 	capped := func(n int) int {
 		if maxPayload > 0 && int64(n) > maxPayload {
@@ -48,8 +47,8 @@ func rpcLoadPoints(seed int64, maxPayload int64) []rpcLoadPoint {
 	return []rpcLoadPoint{
 		{prof: netsim.Quiet(netsim.LAN100(seed)), concurrency: 16, calls: 64, payload: capped(256 << 10)},
 		{prof: netsim.Quiet(netsim.Renater(seed)), concurrency: 16, calls: 64, payload: capped(128 << 10)},
-		{prof: netsim.Quiet(netsim.LAN100(seed)), concurrency: 16, calls: 64, payload: capped(256 << 10), dict: true},
-		{prof: netsim.Quiet(netsim.Renater(seed)), concurrency: 16, calls: 64, payload: capped(128 << 10), dict: true},
+		{prof: netsim.Quiet(netsim.LAN100(seed)), concurrency: 16, calls: 64, payload: capped(256 << 10), delta: true},
+		{prof: netsim.Quiet(netsim.Renater(seed)), concurrency: 16, calls: 64, payload: capped(128 << 10), delta: true},
 	}
 }
 
@@ -72,8 +71,8 @@ func RPCLoad(cfg Config) (*Table, error) {
 			return nil, fmt.Errorf("rpcload %s: %w", pt.prof.Name, err)
 		}
 		mode := "plain"
-		if pt.dict {
-			mode = "dict+delta"
+		if pt.delta {
+			mode = "delta"
 		}
 		t.AddRow(pt.prof.Name, mode,
 			fmt.Sprintf("%d", pt.calls),
@@ -89,7 +88,7 @@ func RPCLoad(cfg Config) (*Table, error) {
 	}
 	t.AddNote("each call is one mux stream of a pooled session (max %d per target); all calls share the pool's adaptive controllers", adocrpc.DefaultMaxSessions)
 	t.AddNote("wire/raw below 1.0 means the shared compression pipeline engaged on the aggregate RPC traffic")
-	t.AddNote("dict+delta rows train dictionaries from recent payloads and ship repeated responses as deltas against the client's cache")
+	t.AddNote("delta rows ship repeated responses as deltas against the client's cache")
 	return t, nil
 }
 
@@ -101,14 +100,7 @@ func runRPCLoad(pt rpcLoadPoint, seed int64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var mux adocmux.Config
-	if pt.dict {
-		// A few megabytes between retrains: each announcement ships the
-		// (up to 32 KiB) dictionary in-band, so retraining too eagerly on
-		// this stationary workload would cost more wire than it saves.
-		mux = adocmux.Config{EnableDict: true, DictRetrainBytes: 4 << 20}
-	}
-	srv := adocrpc.NewServer(adocrpc.ServerConfig{MaxConcurrent: pt.concurrency, Mux: mux})
+	srv := adocrpc.NewServer(adocrpc.ServerConfig{MaxConcurrent: pt.concurrency})
 	srv.Register("echo", func(_ context.Context, args [][]byte) ([][]byte, error) {
 		return args, nil
 	})
@@ -117,8 +109,7 @@ func runRPCLoad(pt rpcLoadPoint, seed int64) (Result, error) {
 
 	pool, err := adocrpc.NewPool(adocrpc.PoolConfig{
 		Dial:        func(context.Context) (net.Conn, error) { return nw.Dial("rpc-server") },
-		Mux:         mux,
-		EnableDelta: pt.dict,
+		EnableDelta: pt.delta,
 	})
 	if err != nil {
 		return Result{}, err
@@ -180,8 +171,8 @@ func runRPCLoad(pt rpcLoadPoint, seed int64) (Result, error) {
 		neg = n.String()
 	}
 	scenario := "rpcload/" + pt.prof.Name
-	if pt.dict {
-		scenario += "+dictdelta"
+	if pt.delta {
+		scenario += "+delta"
 	}
 	bytes := int64(pt.calls) * int64(pt.payload) * 2 // request + echoed response
 	return Result{

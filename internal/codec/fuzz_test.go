@@ -97,62 +97,5 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				}
 			}
 		}
-
-		// The dictionary codec: train a deterministic dictionary from the
-		// input itself, round trip through it, then attack the block with
-		// the dictionary failure modes — decode against the wrong
-		// generation's dictionary, a truncated dictionary, and truncated
-		// blocks. Every failure must be ErrCorrupt, never a panic.
-		dict := append(bytes.Repeat(data, 1), []byte("dict-fuzz-tail")...)
-		if len(dict) > MaxDictLen {
-			dict = dict[:MaxDictLen]
-		}
-		dlvl := level
-		if dlvl < 2 {
-			dlvl = 2
-		}
-		dblock, err := CompressDict(nil, dlvl, data, dict)
-		if err != nil {
-			t.Fatalf("CompressDict(%d, %d bytes): %v", dlvl, len(data), err)
-		}
-		dout, err := DecompressDict(dblock, len(data), dict)
-		if err != nil {
-			t.Fatalf("DecompressDict(%d): %v", dlvl, err)
-		}
-		if !bytes.Equal(dout, data) {
-			t.Fatalf("dict round trip lost data at level %d", dlvl)
-		}
-		// Wrong generation: a dictionary with different content must be
-		// rejected by the block fingerprint before inflation.
-		wrong := append(append([]byte(nil), dict...), 0x5A)
-		if _, err := DecompressDict(dblock, len(data), wrong); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("wrong-generation dict decode: err = %v, want ErrCorrupt", err)
-		}
-		// Truncated dictionary — the common shape of a half-installed
-		// generation.
-		if len(dict) > 0 {
-			if _, err := DecompressDict(dblock, len(data), dict[:len(dict)/2]); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("truncated-dict decode: err = %v, want ErrCorrupt", err)
-			}
-		}
-		// Truncated blocks, including cuts inside the fingerprint header.
-		for _, cut := range []int{0, 1, dictHeaderLen - 1, dictHeaderLen, len(dblock) / 2, len(dblock) - 1} {
-			if cut < 0 || cut >= len(dblock) {
-				continue
-			}
-			if _, err := DecompressDict(dblock[:cut], len(data), dict); err == nil || !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("dict block truncated to %d: err = %v, want ErrCorrupt", cut, err)
-			}
-		}
-		// The raw input as a hostile dict block.
-		for _, rawLen := range []int{0, 1, len(data), 2*len(data) + 1} {
-			out, err := DecompressDict(data, rawLen, dict)
-			if err != nil && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("hostile dict block rawLen %d: err = %v, want ErrCorrupt", rawLen, err)
-			}
-			if err == nil && len(out) != rawLen {
-				t.Fatalf("hostile dict block decoded to %d bytes, claimed %d", len(out), rawLen)
-			}
-		}
 	})
 }

@@ -24,6 +24,8 @@ const (
 	IDLZF ID = 1
 	// IDDeflate is the DEFLATE codec behind levels 2..10.
 	IDDeflate ID = 2
+	// ID 3 (mask bit 1 << 3) was a dictionary codec in earlier builds; it
+	// is never advertised and reserved: never reuse it.
 
 	// MaxID bounds codec identities so a Mask bit exists for each.
 	MaxID ID = 15
@@ -202,7 +204,7 @@ func (r *Registry) Mask() Mask {
 // defaultRegistry holds the built-in codecs.
 var defaultRegistry = func() *Registry {
 	r := NewRegistry()
-	for _, c := range []Codec{rawCodec{}, lzfCodec{}, deflateCodec{}, dictCodec{}} {
+	for _, c := range []Codec{rawCodec{}, lzfCodec{}, deflateCodec{}} {
 		if err := r.Register(c); err != nil {
 			panic(err)
 		}

@@ -27,14 +27,13 @@ func TestLevelCodecMapping(t *testing.T) {
 }
 
 func TestDefaultRegistryMask(t *testing.T) {
-	if got := AllMask(); got != MaskRaw|MaskLZF|MaskDeflate|MaskDict {
-		t.Fatalf("AllMask() = %v, want raw+lzf+deflate+dict", got)
+	if got := AllMask(); got != LegacyMask {
+		t.Fatalf("AllMask() = %v, want raw+lzf+deflate", got)
 	}
-	if AllMask()&LegacyMask != LegacyMask {
-		t.Fatalf("the built-in set must contain the legacy fixed set")
-	}
-	if LegacyMask.Has(IDDict) {
-		t.Fatalf("the legacy fixed set must not grow new codecs")
+	// ID 3 is reserved for the retired dictionary codec: never registered,
+	// so the mask this build advertises never carries its bit.
+	if _, ok := Default().Lookup(3); ok || AllMask().Has(3) {
+		t.Fatalf("reserved codec ID 3 is registered")
 	}
 }
 
@@ -91,7 +90,7 @@ func TestMinUsableLevel(t *testing.T) {
 }
 
 func TestMaskString(t *testing.T) {
-	if s := AllMask().String(); s != "raw+lzf+deflate+dict" {
+	if s := AllMask().String(); s != "raw+lzf+deflate" {
 		t.Errorf("AllMask().String() = %q", s)
 	}
 	if s := Mask(0).String(); s != "none" {

@@ -68,18 +68,6 @@ type Engine struct {
 	// engine can know which trace they belong to.
 	rt recvTraceState
 
-	// Dictionary state. pendingDict is the send dictionary the consumer
-	// layer announced (SetSendDict); msgDict is the snapshot pinned under
-	// wmu at the start of each message so every group of that message uses
-	// one dictionary even while SetSendDict swaps the pending one.
-	// recvDicts holds installed receive generations; groups name theirs by
-	// generation, so parallel decode reordering cannot pair a group with
-	// the wrong dictionary.
-	dictMu      sync.Mutex
-	pendingDict *sendDict
-	msgDict     *sendDict // guarded by wmu
-	recvDicts   *codec.DictStore
-
 	stats engineStats
 
 	// Live-introspection wiring: the registry's connection table entry,
@@ -178,48 +166,6 @@ func (e *Engine) RecvTraceContext() (obs.TraceContext, bool) {
 // FlowTracer returns the tracer this engine records spans into (nil when
 // tracing is not configured).
 func (e *Engine) FlowTracer() *obs.FlowTracer { return e.opts.FlowTracer }
-
-// sendDict is one send-side dictionary generation: the bytes every dict
-// group of a message deflates against, and the generation number stamped
-// into those groups' headers so the receiver picks the same bytes.
-type sendDict struct {
-	gen  uint32
-	data []byte
-}
-
-// SetSendDict installs dict as the compression dictionary for messages
-// that START after this call; the in-progress message (if any) keeps the
-// dictionary it pinned. The consumer layer must have delivered gen to the
-// peer (and the peer must install it) before any message compressed
-// against it can arrive — the mux session does this by announcing the
-// dictionary in-band one message ahead. A nil or empty dict clears
-// dictionary compression.
-func (e *Engine) SetSendDict(gen uint32, dict []byte) {
-	var d *sendDict
-	if len(dict) > 0 {
-		d = &sendDict{gen: gen, data: append([]byte(nil), dict...)}
-	}
-	e.dictMu.Lock()
-	e.pendingDict = d
-	e.dictMu.Unlock()
-}
-
-// snapshotSendDict pins the current pending dictionary for one message.
-// Called under wmu at the start of writeStream; the returned value is
-// immutable (SetSendDict replaces the pointer, never the contents).
-func (e *Engine) snapshotSendDict() *sendDict {
-	e.dictMu.Lock()
-	defer e.dictMu.Unlock()
-	return e.pendingDict
-}
-
-// InstallRecvDict installs one received dictionary generation for the
-// decode side. Generations are retained in a small window
-// (codec.DictGenerations) so groups of older messages still decode after
-// a retrain.
-func (e *Engine) InstallRecvDict(gen uint32, dict []byte) {
-	e.recvDicts.Install(gen, dict)
-}
 
 // engineStats aggregates counters. The additive fields are obs counters —
 // children of the bound registry's family roots, so each increment serves
@@ -354,13 +300,12 @@ func New(rw io.ReadWriter, opts Options) (*Engine, error) {
 	pool.RegisterMetrics(reg)
 	bufpool.Default.RegisterMetrics(reg)
 	e := &Engine{
-		rw:        rw,
-		opts:      opts,
-		dec:       wire.NewReader(rw),
-		pool:      pool,
-		stats:     bindEngineStats(reg),
-		events:    reg.Events(),
-		recvDicts: codec.NewDictStore(),
+		rw:     rw,
+		opts:   opts,
+		dec:    wire.NewReader(rw),
+		pool:   pool,
+		stats:  bindEngineStats(reg),
+		events: reg.Events(),
 	}
 	// The engine observes its own transitions (last-transition snapshot
 	// for /debug/conns, adapt event on the bus) in front of the chain

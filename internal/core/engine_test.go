@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"hash/adler32"
 	"io"
 	"math/rand"
 	"net"
@@ -17,12 +18,18 @@ import (
 // pipePair returns two engines joined by an in-memory full-duplex pipe.
 func pipePair(t *testing.T, opts Options) (*Engine, *Engine) {
 	t.Helper()
+	return pipePairOpts(t, opts, opts)
+}
+
+// pipePairOpts is pipePair with per-side options.
+func pipePairOpts(t *testing.T, o1, o2 Options) (*Engine, *Engine) {
+	t.Helper()
 	c1, c2 := net.Pipe()
-	e1, err := New(c1, opts)
+	e1, err := New(c1, o1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := New(c2, opts)
+	e2, err := New(c2, o2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,6 +573,42 @@ func TestCleanEOFBetweenMessages(t *testing.T) {
 	}
 	if _, err := e.Read(buf); err != io.EOF {
 		t.Fatalf("err = %v, want io.EOF", err)
+	}
+}
+
+// TestReservedGroupMarkerFails: marker 5 opened dictionary groups in
+// older builds. A group opened with it fails the message with
+// ErrBadFrame at every window, after the groups before it are delivered.
+func TestReservedGroupMarkerFails(t *testing.T) {
+	raw := compressibleData(1000)
+	blk, used, err := codec.Compress(3, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg []byte
+	msg = wire.AppendStreamHeader(msg, uint64(2*len(raw)))
+	msg = wire.AppendGroupBegin(msg, used)
+	msg = wire.AppendPacket(msg, blk)
+	msg = wire.AppendGroupEnd(msg, len(raw), adler32.Checksum(raw))
+	msg = append(msg, 5, byte(used), 0, 0, 0, 7) // marker, level, generation
+	msg = wire.AppendPacket(msg, blk)
+	msg = wire.AppendGroupEnd(msg, len(raw), adler32.Checksum(raw))
+	msg = wire.AppendMsgEnd(msg)
+
+	for _, par := range []int{1, 4} {
+		o := DefaultOptions()
+		o.Parallelism = par
+		e, err := New(&rawConn{Reader: bytes.NewReader(msg)}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(e)
+		if !errors.Is(err, wire.ErrBadFrame) {
+			t.Fatalf("parallelism %d: err = %v, want ErrBadFrame", par, err)
+		}
+		if !bytes.Equal(got, raw) {
+			t.Fatalf("parallelism %d: delivered %d bytes before the error, want the first group's %d", par, len(got), len(raw))
+		}
 	}
 }
 

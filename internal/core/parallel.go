@@ -237,23 +237,8 @@ type decResult struct {
 }
 
 // decodeGroup expands and verifies one assembled group on a pool worker.
-// Dict groups name their dictionary by generation, so out-of-order
-// decoding still pairs each group with the exact bytes it was compressed
-// against; a generation this engine never installed is indistinguishable
-// from corruption.
 func (e *Engine) decodeGroup(g completedGroup) decResult {
-	var raw []byte
-	var err error
-	if g.dictOn {
-		dict, ok := e.recvDicts.Get(g.dictGen)
-		if !ok {
-			return decResult{err: fmt.Errorf("%w: group names uninstalled dictionary generation %d",
-				codec.ErrCorrupt, g.dictGen)}
-		}
-		raw, err = codec.DecompressDict(g.block, g.rawLen, dict)
-	} else {
-		raw, err = codec.Decompress(g.level, g.block, g.rawLen)
-	}
+	raw, err := codec.Decompress(g.level, g.block, g.rawLen)
 	if err != nil {
 		return decResult{err: err}
 	}

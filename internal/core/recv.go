@@ -29,7 +29,6 @@ type recvFrame struct {
 	payload  []byte
 	rawLen   int
 	checksum uint32
-	dictGen  uint32 // generation named by a MarkGroupBeginDict frame
 }
 
 // streamState is the receive pipeline for one in-progress stream message:
@@ -44,12 +43,10 @@ type streamState struct {
 
 // completedGroup is one fully assembled compressed group ready to decode.
 type completedGroup struct {
-	level   codec.Level
-	block   []byte
-	rawLen  int
-	sum     uint32
-	dictOn  bool   // group was compressed against a dictionary
-	dictGen uint32 // which generation, when dictOn
+	level  codec.Level
+	block  []byte
+	rawLen int
+	sum    uint32
 }
 
 // groupAssembler validates the frame sequence of a stream message and
@@ -60,8 +57,6 @@ type groupAssembler struct {
 	inGroup bool
 	level   codec.Level
 	block   []byte
-	dictOn  bool
-	dictGen uint32
 }
 
 // feed consumes one frame. At most one of the results is set: a completed
@@ -69,14 +64,12 @@ type groupAssembler struct {
 // mid-group progress.
 func (a *groupAssembler) feed(fr recvFrame) (g *completedGroup, end bool, err error) {
 	switch fr.mark {
-	case wire.MarkGroupBegin, wire.MarkGroupBeginDict:
+	case wire.MarkGroupBegin:
 		if a.inGroup {
 			return nil, false, fmt.Errorf("%w: nested group", wire.ErrBadFrame)
 		}
 		a.inGroup = true
 		a.level = fr.level
-		a.dictOn = fr.mark == wire.MarkGroupBeginDict
-		a.dictGen = fr.dictGen
 	case wire.MarkPacket:
 		if !a.inGroup {
 			return nil, false, fmt.Errorf("%w: packet outside group", wire.ErrBadFrame)
@@ -87,10 +80,7 @@ func (a *groupAssembler) feed(fr recvFrame) (g *completedGroup, end bool, err er
 			return nil, false, fmt.Errorf("%w: group end outside group", wire.ErrBadFrame)
 		}
 		a.inGroup = false
-		g = &completedGroup{
-			level: a.level, block: a.block, rawLen: fr.rawLen, sum: fr.checksum,
-			dictOn: a.dictOn, dictGen: a.dictGen,
-		}
+		g = &completedGroup{level: a.level, block: a.block, rawLen: fr.rawLen, sum: fr.checksum}
 		a.block = nil // the group owns its block from here on
 		return g, false, nil
 	case wire.MarkMsgEnd:
@@ -142,7 +132,7 @@ func (e *Engine) receiveLoop(st *streamState) {
 			st.frames.CloseSendWithError(err)
 			return
 		}
-		fr := recvFrame{mark: f.Mark, level: f.Level, rawLen: f.RawLen, checksum: f.Checksum, dictGen: f.DictGen}
+		fr := recvFrame{mark: f.Mark, level: f.Level, rawLen: f.RawLen, checksum: f.Checksum}
 		// Frame overheads come from the wire constants — never literal byte
 		// counts — so receive stats track the protocol by construction.
 		switch f.Mark {
@@ -160,13 +150,6 @@ func (e *Engine) receiveLoop(st *streamState) {
 			if traced {
 				groupStart = tr.Now()
 				groupWire = int(wire.FrameGroupBeginLen)
-				groupLevel = f.Level
-			}
-		case wire.MarkGroupBeginDict:
-			e.stats.wireReceived.Add(wire.FrameGroupBeginDictLen)
-			if traced {
-				groupStart = tr.Now()
-				groupWire = int(wire.FrameGroupBeginDictLen)
 				groupLevel = f.Level
 			}
 		case wire.MarkGroupEnd:

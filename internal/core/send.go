@@ -169,11 +169,6 @@ func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (d
 	if err := e.ctrl.SetBounds(min, max); err != nil {
 		return 0, 0, err
 	}
-	// The message's dictionary is pinned here, under wmu: SetSendDict only
-	// affects messages that start after it, so every group of one message
-	// references one generation and the in-band announcement ordering
-	// (dictionary bytes ride an earlier message) holds.
-	e.msgDict = e.snapshotSendDict()
 	defer func() { e.stats.wireSent.Add(wireBytes) }()
 	totalRaw := wire.UnknownTotal
 	if size >= 0 {
@@ -467,7 +462,7 @@ func (e *Engine) compressBufferAt(dst *segList, level codec.Level, chunk, scratc
 			e.pushBlockGroup(dst, used, blk, chunk)
 		}
 	default:
-		return e.pushFlateGroup(dst, level, chunk, e.msgDict)
+		return e.pushFlateGroup(dst, level, chunk)
 	}
 	return nil
 }
@@ -482,19 +477,10 @@ func (e *Engine) pushBlockGroup(dst *segList, level codec.Level, block, raw []by
 
 // pushFlateGroup streams chunk through a DEFLATE compressor, checking the
 // running ratio after every flush so incompressible data aborts the buffer
-// early (paper §5 "Compressed and random data"). A non-nil d compresses
-// against d's dictionary and stamps the group with d's generation so the
-// receiver resolves the same dictionary before inflating.
-func (e *Engine) pushFlateGroup(dst *segList, level codec.Level, chunk []byte, d *sendDict) error {
+// early (paper §5 "Compressed and random data").
+func (e *Engine) pushFlateGroup(dst *segList, level codec.Level, chunk []byte) error {
 	p := newPacketizer(e, dst, level)
-	var sw codec.StreamWriter
-	var err error
-	if d != nil {
-		p.dict, p.dictGen = true, d.gen
-		sw, err = codec.NewStreamWriterDict(level, p, d.data)
-	} else {
-		sw, err = codec.NewStreamWriter(level, p)
-	}
+	sw, err := codec.NewStreamWriter(level, p)
 	if err != nil {
 		return err
 	}
@@ -540,8 +526,6 @@ type packetizer struct {
 	e       *Engine
 	dst     *segList
 	level   codec.Level
-	dict    bool   // open with a dict groupBegin frame
-	dictGen uint32 // the generation it announces
 	pending []byte
 	first   bool
 	total   int // compressed bytes accepted so far
@@ -582,11 +566,7 @@ func (p *packetizer) flushPacket(end bool, rawLen int, sum uint32) {
 	// which recycles it after the socket write.
 	frame := bufpool.Get(len(p.pending) + maxFrameOverhead)[:0]
 	if p.first {
-		if p.dict {
-			frame = wire.AppendGroupBeginDict(frame, p.level, p.dictGen)
-		} else {
-			frame = wire.AppendGroupBegin(frame, p.level)
-		}
+		frame = wire.AppendGroupBegin(frame, p.level)
 	}
 	if len(p.pending) > 0 {
 		frame = wire.AppendPacket(frame, p.pending)
@@ -620,6 +600,5 @@ func (p *packetizer) finish(rawLen int, sum uint32) {
 }
 
 // maxFrameOverhead bounds the non-payload bytes a single segment can carry:
-// a group-begin prefix (the dict form is the larger) plus packet framing
-// plus a glued group-end tail.
-const maxFrameOverhead = wire.FrameGroupBeginDictLen + wire.FramePacketOverhead + wire.FrameGroupEndLen
+// a group-begin prefix plus packet framing plus a glued group-end tail.
+const maxFrameOverhead = wire.FrameGroupBeginLen + wire.FramePacketOverhead + wire.FrameGroupEndLen

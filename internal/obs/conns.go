@@ -31,7 +31,6 @@ type ConnConfig struct {
 	Codecs      string `json:"codecs,omitempty"`
 	Mux         bool   `json:"mux"`
 	Trace       bool   `json:"trace"`
-	Dict        bool   `json:"dict"`
 }
 
 // ConnTransition is the most recent adapt level change on a connection.

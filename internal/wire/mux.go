@@ -11,7 +11,6 @@
 //	MuxClose  write-half close (FIN)      payload empty (future fields ok)
 //	MuxWindow flow-control credit grant   payload = delta(4) [future fields]
 //	MuxTrace  flow-trace context (id 0)   payload = traceID(8) flags(1) [future]
-//	MuxDict   dictionary install (id 0)   payload = generation(4) dictBytes
 //
 // All integers are big-endian. Stream ID 0 is reserved (never a valid
 // stream), leaving room for session-scoped control frames later. The
@@ -24,8 +23,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"adoc/internal/codec"
 )
 
 // MuxKind discriminates mux frames.
@@ -42,12 +39,8 @@ const (
 	// Only sent when both peers negotiated HandshakeFlagTrace; legacy
 	// decoders skip it via the unknown-kind path.
 	MuxTrace MuxKind = 5
-	// MuxDict is a session-scoped (stream ID 0) dictionary installation:
-	// the 4-byte generation number followed by the dictionary bytes the
-	// sender will reference in subsequent MarkGroupBeginDict groups. Only
-	// sent when both peers negotiated HandshakeFlagDict; legacy decoders
-	// skip it via the unknown-kind path.
-	MuxDict MuxKind = 6
+	// Kind 6 carried dictionaries in earlier builds; it is skipped as
+	// unknown and reserved: never reuse it.
 )
 
 func (k MuxKind) String() string {
@@ -62,8 +55,6 @@ func (k MuxKind) String() string {
 		return "window"
 	case MuxTrace:
 		return "trace"
-	case MuxDict:
-		return "dict"
 	}
 	return fmt.Sprintf("mux(%d)", uint8(k))
 }
@@ -85,8 +76,6 @@ const (
 	// muxTraceFlagSampled marks the batch as sampled in the MuxTrace
 	// flags byte.
 	muxTraceFlagSampled = 1 << 0
-	// muxDictHeaderLen is the generation prefix of a MuxDict payload.
-	muxDictHeaderLen = 4
 	// MaxMuxOriginLen bounds the origin-address payload of a MuxOpen
 	// frame; longer payloads are truncated by the encoder, never
 	// rejected by the decoder (they are future-fields by contract).
@@ -112,9 +101,6 @@ type MuxFrame struct {
 	// frame.
 	TraceID      uint64
 	TraceSampled bool
-	// DictGen is the generation of a MuxDict frame; the dictionary bytes
-	// ride in Payload (same aliasing rules — copy to keep).
-	DictGen uint32
 }
 
 func appendMuxHeader(dst []byte, kind MuxKind, id uint32, length int) []byte {
@@ -151,20 +137,6 @@ func AppendMuxTrace(dst []byte, traceID uint64, sampled bool) []byte {
 		flags |= muxTraceFlagSampled
 	}
 	return append(dst, flags)
-}
-
-// AppendMuxDict appends a session-scoped dictionary installation frame:
-// generation gen maps to the given dictionary bytes on the receive side
-// from this point of the stream on. Dictionaries longer than
-// codec.MaxDictLen are an encoder bug — DEFLATE cannot reference them —
-// and are truncated to the window rather than shipped as dead weight.
-func AppendMuxDict(dst []byte, gen uint32, dict []byte) []byte {
-	if len(dict) > codec.MaxDictLen {
-		dict = dict[:codec.MaxDictLen]
-	}
-	dst = appendMuxHeader(dst, MuxDict, 0, muxDictHeaderLen+len(dict))
-	dst = binary.BigEndian.AppendUint32(dst, gen)
-	return append(dst, dict...)
 }
 
 // AppendMuxData appends a data frame carrying p.
@@ -277,20 +249,6 @@ func (d *MuxDecoder) finish(payload []byte, emit func(MuxFrame) error) error {
 		// MuxTrace is session-scoped: stream ID 0 is its only valid ID.
 		if f.StreamID != 0 {
 			return fmt.Errorf("%w: trace frame on stream %d", ErrBadFrame, f.StreamID)
-		}
-		return emit(f)
-	case MuxDict:
-		if len(payload) < muxDictHeaderLen {
-			return fmt.Errorf("%w: dict frame payload %d bytes", ErrBadFrame, len(payload))
-		}
-		f.DictGen = binary.BigEndian.Uint32(payload[:muxDictHeaderLen])
-		f.Payload = payload[muxDictHeaderLen:]
-		if len(f.Payload) > codec.MaxDictLen {
-			return fmt.Errorf("%w: dictionary of %d bytes", ErrTooBig, len(f.Payload))
-		}
-		// MuxDict is session-scoped: stream ID 0 is its only valid ID.
-		if f.StreamID != 0 {
-			return fmt.Errorf("%w: dict frame on stream %d", ErrBadFrame, f.StreamID)
 		}
 		return emit(f)
 	case MuxWindow:

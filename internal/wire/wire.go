@@ -46,11 +46,8 @@ const (
 	MarkPacket     = 2
 	MarkGroupEnd   = 3
 	MarkMsgEnd     = 4
-	// MarkGroupBeginDict opens a group compressed against a negotiated
-	// dictionary: the level byte is followed by the 4-byte dictionary
-	// generation the block references. Only emitted when both peers
-	// negotiated the dict capability, so legacy decoders never see it.
-	MarkGroupBeginDict = 5
+	// Marker 5 opened dictionary-compressed groups in earlier builds; it
+	// decodes as ErrBadFrame and is reserved: never reuse it.
 
 	// MsgHeaderLen is the fixed message header size.
 	MsgHeaderLen = 4
@@ -62,9 +59,6 @@ const (
 	//
 	// FrameGroupBeginLen is a groupBegin frame: marker + level.
 	FrameGroupBeginLen = 1 + 1
-	// FrameGroupBeginDictLen is a dict groupBegin frame: marker + level +
-	// dictionary generation.
-	FrameGroupBeginDictLen = 1 + 1 + 4
 	// FramePacketOverhead is a packet frame minus its payload: marker +
 	// compLen.
 	FramePacketOverhead = 1 + 4
@@ -150,14 +144,6 @@ func AppendGroupBegin(dst []byte, level codec.Level) []byte {
 	return append(dst, MarkGroupBegin, byte(level))
 }
 
-// AppendGroupBeginDict appends a dict groupBegin frame announcing the
-// level of the next buffer group and the dictionary generation its block
-// was compressed against.
-func AppendGroupBeginDict(dst []byte, level codec.Level, gen uint32) []byte {
-	dst = append(dst, MarkGroupBeginDict, byte(level))
-	return binary.BigEndian.AppendUint32(dst, gen)
-}
-
 // AppendPacket appends a packet frame carrying payload.
 func AppendPacket(dst, payload []byte) []byte {
 	dst = append(dst, MarkPacket)
@@ -181,9 +167,6 @@ type Frame struct {
 	Mark byte
 	// GroupBegin field.
 	Level codec.Level
-	// GroupBeginDict field: the dictionary generation the group's block
-	// references.
-	DictGen uint32
 	// Packet payload (valid until the next Reader call).
 	Payload []byte
 	// GroupEnd fields.
@@ -273,15 +256,6 @@ func (d *Reader) ReadFrame() (Frame, error) {
 		if !f.Level.Valid() {
 			return f, fmt.Errorf("%w: level %d", ErrBadFrame, d.scratch[0])
 		}
-	case MarkGroupBeginDict:
-		if _, err := io.ReadFull(d.r, d.scratch[:5]); err != nil {
-			return f, unexpected(err)
-		}
-		f.Level = codec.Level(d.scratch[0])
-		if !f.Level.Valid() {
-			return f, fmt.Errorf("%w: level %d", ErrBadFrame, d.scratch[0])
-		}
-		f.DictGen = binary.BigEndian.Uint32(d.scratch[1:5])
 	case MarkPacket:
 		if _, err := io.ReadFull(d.r, d.scratch[:4]); err != nil {
 			return f, unexpected(err)
@@ -367,13 +341,8 @@ const (
 	// unless both sides advertise the flag, so flagless legacy peers
 	// see byte-identical traffic.
 	HandshakeFlagTrace uint16 = 1 << 1
-	// HandshakeFlagDict announces that the speaker understands negotiated
-	// compression dictionaries: MuxDict frames installing generation-
-	// numbered dictionaries and MarkGroupBeginDict groups referencing
-	// them. Senders emit neither unless both sides advertise the flag
-	// (and the dict codec survives the codec-mask intersection), so
-	// flagless legacy peers see byte-identical traffic.
-	HandshakeFlagDict uint16 = 1 << 2
+	// Bit 2 (1 << 2) announced dictionary compression in earlier builds;
+	// it is ignored on receipt and reserved: never reuse it.
 )
 
 const (
