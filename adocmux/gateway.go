@@ -791,19 +791,12 @@ func (eg *Egress) checkBackends(timeout time.Duration) {
 }
 
 // Serve accepts ingress connections on ln until the listener closes.
-// Handshake failures skip that client (the listener stays healthy), as
-// adocnet documents.
+// Each handshake runs on its connection's own goroutine (adocnet.Server),
+// so a client that connects and stalls cannot hold up other tunnels;
+// handshake failures drop just that client.
 func (eg *Egress) Serve(ln *adocnet.Listener) error {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if _, ok := err.(*adocnet.HandshakeError); ok {
-				continue
-			}
-			return err
-		}
-		go eg.ServeConn(conn)
-	}
+	srv := adocnet.NewServer(adocnet.Options{}, func(c *adocnet.Conn) { eg.ServeConn(c) })
+	return srv.Serve(ln)
 }
 
 // ServeConn runs the egress side of one tunnel connection until its

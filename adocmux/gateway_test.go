@@ -2,6 +2,7 @@ package adocmux
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -251,4 +252,33 @@ func TestIngressRedialsDeadSession(t *testing.T) {
 	if err := roundtrip([]byte("second tunnel, fresh session")); err != nil {
 		t.Fatalf("ingress did not recover from a dead session: %v", err)
 	}
+}
+
+// TestEgressSilentClientDoesNotBlockTunnels: a client that connects to
+// the egress and never handshakes must not hold up the next ingress
+// tunnel, even under a long handshake timeout.
+func TestEgressSilentClientDoesNotBlockTunnels(t *testing.T) {
+	opts := adocnet.Defaults()
+	opts.HandshakeTimeout = 60 * time.Second
+	egLn, err := adocnet.Listen("tcp", "127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eg := NewEgress(echoServer(t).Addr().String(), Config{})
+	go eg.Serve(egLn)
+	t.Cleanup(func() { egLn.Close(); eg.Close() })
+
+	silent, err := net.Dial("tcp", egLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c, err := adocnet.DialContext(ctx, "tcp", egLn.Addr().String(), adocnet.Defaults())
+	if err != nil {
+		t.Fatalf("tunnel handshake behind a silent client: %v", err)
+	}
+	c.Close()
 }

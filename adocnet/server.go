@@ -36,7 +36,8 @@ type Server struct {
 }
 
 // NewServer returns a server that runs handler for every accepted
-// connection, negotiated with opts.
+// connection. ListenAndServe negotiates with opts; Serve negotiates with
+// its listener's Options.
 func NewServer(opts Options, handler Handler) *Server {
 	s := &Server{
 		opts:      opts,
@@ -63,9 +64,9 @@ func (s *Server) ListenAndServe(network, addr string) error {
 // never on the accept loop — so one stalled or incompatible client
 // cannot head-of-line-block acceptance for everyone else; clients that
 // fail the handshake are dropped (the server is fine). Connections
-// negotiate with the server's Options, as NewServer documents — the
-// listener's own Options apply only to direct Accept callers. Always
-// returns a non-nil error, ErrServerClosed after Shutdown/Close.
+// negotiate with the listener's Options, exactly as ln.Accept would;
+// ListenAndServe listens with the server's. Always returns a non-nil
+// error, ErrServerClosed after Shutdown/Close.
 func (s *Server) Serve(ln *Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -100,7 +101,7 @@ func (s *Server) Serve(ln *Listener) error {
 				raw.Close()
 				return
 			}
-			c, err := Handshake(raw, s.opts)
+			c, err := Handshake(raw, ln.opts)
 			s.untrackPending(raw)
 			if err != nil {
 				raw.Close()

@@ -15,6 +15,11 @@ import (
 //
 // A Conn is safe for concurrent use. Writes are serialized with writes,
 // reads with reads; a read and a write may run in parallel (full duplex).
+//
+// Read, ReadChunk and ReceiveMessage are three views of one incoming byte
+// stream, served by one receive step that yields it a span at a time: one
+// decoded buffer group, or one whole small-message payload. They may be
+// mixed on a connection, and after Close all of them fail with ErrClosed.
 type Conn struct {
 	eng *core.Engine
 	rw  io.ReadWriter
@@ -32,16 +37,18 @@ func NewConn(rw io.ReadWriter, opts Options) (*Conn, error) {
 
 // Read fills p with the next decompressed bytes of the incoming stream,
 // blocking until at least one byte is available (read semantics; message
-// boundaries are not preserved).
+// boundaries are not preserved). Once it has a byte it only tops p up
+// from what has already arrived; the rest of a span waits, buffered, for
+// the next call.
 func (c *Conn) Read(p []byte) (int, error) { return c.eng.Read(p) }
 
-// ReadChunk returns the next contiguous span of the incoming byte stream
-// without copying: one decoded buffer group (or small-message payload)
-// per call, delivered as the interleaved groups arrive off the wire. The
-// span is only valid until the next Read/ReadChunk/ReceiveMessage call on
-// this connection; consumers that keep bytes must copy them out first.
-// This is the delivery primitive for demultiplexers (adocmux) that fan
-// the byte stream out to per-stream queues.
+// ReadChunk returns the next span of the incoming byte stream without
+// copying, delivered as the interleaved groups arrive off the wire; Read
+// leftovers come first. The span is only valid until the next
+// Read/ReadChunk/ReceiveMessage call on this connection; consumers that
+// keep bytes must copy them out first. This is the delivery primitive for
+// demultiplexers (adocmux) that fan the byte stream out to per-stream
+// queues.
 func (c *Conn) ReadChunk() ([]byte, error) { return c.eng.ReadChunk() }
 
 // Write sends p as one adaptively compressed message and returns
@@ -108,8 +115,11 @@ func (c *Conn) SendStreamLevels(r io.Reader, size int64, min, max Level) (raw, s
 }
 
 // ReceiveMessage consumes exactly one incoming message, writing its
-// decompressed content to w and returning the byte count. It must be
-// called on a message boundary (ErrMidMessage otherwise).
+// decompressed content to w span by span and returning the byte count; a
+// zero-length message writes nothing and returns 0. It must be called on
+// a message boundary (ErrMidMessage otherwise). On an error — the
+// connection's or w's — the rest of the message is discarded and the
+// count is what reached w.
 func (c *Conn) ReceiveMessage(w io.Writer) (int64, error) {
 	return c.eng.ReceiveMessage(w)
 }

@@ -47,7 +47,7 @@ type Engine struct {
 	// can abort it without waiting for a blocked Read.
 	dec      *wire.Reader
 	recvBuf  bytes.Buffer // decompressed, not yet consumed by Read
-	smallBuf []byte       // reusable small-payload buffer for ReadChunk
+	smallBuf []byte       // reusable small-payload buffer of the receive step
 	curMu    sync.Mutex
 	cur      *streamState // in-progress stream message, if any
 

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"adoc/internal/codec"
@@ -13,13 +13,14 @@ import (
 	"adoc/internal/wire"
 )
 
-// errMsgEnd is the internal signal that the current stream message is
-// complete.
-var errMsgEnd = errors.New("adoc: message end")
-
-// maxReusedSmallBuf caps the small-payload buffer ReadChunk keeps across
-// calls; larger payloads are allocated per message.
-const maxReusedSmallBuf = 256 * 1024
+// Small-payload buffering in the receive step.
+const (
+	// maxReusedSmallBuf caps the small-payload buffer kept across calls;
+	// larger payloads get a one-off buffer.
+	maxReusedSmallBuf = 256 * 1024
+	// smallReadStep is the growth step of a one-off small-payload buffer.
+	smallReadStep = 1 << 20
+)
 
 // recvFrame is a decoded frame with its payload copied out of the wire
 // reader's scratch buffer, as stored in the reception FIFO.
@@ -35,7 +36,7 @@ type recvFrame struct {
 // a reception goroutine (the paper's reception thread) pushes frames into
 // a bounded FIFO; the decode pipeline (assembler, worker pool, in-order
 // collector) turns them into groups, and decoded holds its output for the
-// Read caller.
+// receive step.
 type streamState struct {
 	frames  *fifo.Queue[recvFrame]
 	decoded *fifo.Queue[decResult]
@@ -174,32 +175,56 @@ func (e *Engine) receiveLoop(st *streamState) {
 	}
 }
 
-// advanceStream consumes decoded groups until it has one with data —
-// returned as a span of decompressed bytes — the message ends (errMsgEnd),
-// or, in non-blocking mode, the pipeline has nothing ready (nil data, nil
-// error). Callers must treat the span as valid only until the next
-// advanceStream call on this engine: Read copies it into recvBuf, and
-// ReadChunk hands it to the consumer under that same contract.
-func (e *Engine) advanceStream(st *streamState, block bool) (data []byte, err error) {
+// next is the one receive step behind Read, ReadChunk and ReceiveMessage;
+// callers hold rmu. It returns the next span of the incoming byte stream —
+// one decoded group, or one whole small payload — and whether that span
+// ended a message (a stream message ends with an empty span). It reads a
+// message header only when no stream message is in progress. With block
+// false it never waits: between messages, or while the stream pipeline
+// has nothing ready, it returns an empty span with end false.
+//
+// The span is valid only until the next call: it may alias smallBuf or a
+// decoded group that the next call releases.
+func (e *Engine) next(block bool) (span []byte, end bool, err error) {
+	if e.closed.Load() {
+		return nil, false, ErrClosed
+	}
+	st := e.loadCur()
+	if st == nil {
+		if !block {
+			return nil, false, nil
+		}
+		h, err := e.dec.ReadMsgHeader()
+		if err != nil {
+			return nil, false, err
+		}
+		if h.Kind == wire.KindSmall {
+			span, err := e.readSmall(h)
+			return span, err == nil, err
+		}
+		e.stats.wireReceived.Add(wire.StreamHeaderLen)
+		st = e.startStream()
+		e.storeCur(st)
+	}
 	for {
 		var g decResult
 		if block {
-			g, err = st.decoded.Pop()
-			if err == io.EOF {
-				return nil, io.ErrUnexpectedEOF
+			if g, err = st.decoded.Pop(); err == io.EOF {
+				err = io.ErrUnexpectedEOF
 			}
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 		} else {
 			var ok bool
-			g, ok = st.decoded.TryPop()
-			if !ok {
-				return nil, nil
+			if g, ok = st.decoded.TryPop(); !ok {
+				return nil, false, nil
 			}
 		}
 		if g.end {
-			return nil, errMsgEnd
+			e.storeCur(nil)
+			e.stats.msgsReceived.Add(1)
+			return nil, true, nil
 		}
 		e.stats.rawReceived.Add(int64(g.rawLen))
 		if !g.doneAt.IsZero() && e.opts.FlowTracer.Enabled() {
@@ -207,17 +232,65 @@ func (e *Engine) advanceStream(st *streamState, block bool) (data []byte, err er
 			// group in wire order.
 			e.recordRecvSpan(obs.StageDeliver, g.doneAt, e.opts.FlowTracer.Now().Sub(g.doneAt), g.rawLen, g.level)
 		}
-		if len(g.data) == 0 {
-			continue // an empty group adds nothing to the byte stream
+		if len(g.data) > 0 {
+			return g.data, false, nil
 		}
-		return g.data, nil
+		// An empty group adds nothing to the byte stream.
 	}
 }
 
-// finishStream retires the completed stream message.
-func (e *Engine) finishStream() {
-	e.storeCur(nil)
+// readSmall receives one small message's payload, counting it and
+// recording its trace spans. Payloads up to maxReusedSmallBuf land in
+// smallBuf. Larger ones get a one-off buffer grown smallReadStep at a
+// time as bytes arrive, so a peer-announced length (up to
+// wire.MaxGroupRaw) costs memory in proportion to the bytes actually
+// sent and never stays pinned for the engine's lifetime.
+func (e *Engine) readSmall(h wire.MsgHeader) ([]byte, error) {
+	e.stats.wireReceived.Add(int64(wire.SmallOverhead) + int64(h.RawLen))
+	tr := e.opts.FlowTracer
+	var t0 time.Time
+	if tr.Enabled() {
+		// Small messages carry their own (possible) trace context in the
+		// payload: a fresh message means a fresh pending set.
+		e.resetRecvTrace()
+		t0 = tr.Now()
+	}
+	n := int(h.RawLen)
+	var p []byte
+	if n <= maxReusedSmallBuf {
+		if cap(e.smallBuf) < n {
+			e.smallBuf = make([]byte, n)
+		}
+		p = e.smallBuf[:0]
+	}
+	for len(p) < n {
+		// Each step reads the next step bytes of the same payload.
+		step := min(n-len(p), smallReadStep)
+		p = slices.Grow(p, step)
+		part := wire.MsgHeader{Kind: wire.KindSmall, RawLen: uint32(step)}
+		if _, err := e.dec.ReadSmallPayload(part, p[len(p):len(p)+step]); err != nil {
+			return nil, err
+		}
+		p = p[:len(p)+step]
+	}
 	e.stats.msgsReceived.Add(1)
+	e.stats.rawReceived.Add(int64(n))
+	if tr.Enabled() {
+		now := tr.Now()
+		e.recordRecvSpan(obs.StageReceive, t0, now.Sub(t0), int(wire.SmallOverhead)+n, 0)
+		e.recordRecvSpan(obs.StageDeliver, now, 0, n, 0)
+	}
+	return p, nil
+}
+
+// dropStream aborts and forgets the in-progress stream message, if any.
+// Abort comes first: the reception goroutine and decode pipeline would
+// otherwise block on full queues forever, unreachable even by Close.
+func (e *Engine) dropStream(err error) {
+	if st := e.loadCur(); st != nil {
+		st.abort(err)
+		e.storeCur(nil)
+	}
 }
 
 // Read implements the adoc_read semantics: it fills p with the next bytes
@@ -232,80 +305,30 @@ func (e *Engine) Read(p []byte) (int, error) {
 	}
 	e.rmu.Lock()
 	defer e.rmu.Unlock()
-	for {
-		if e.closed.Load() {
-			return 0, ErrClosed
-		}
-		if e.recvBuf.Len() > 0 {
-			// Top up from already-arrived frames without blocking, then
-			// hand out as much as fits.
-			if st := e.loadCur(); st != nil {
-				for e.recvBuf.Len() < len(p) {
-					data, err := e.advanceStream(st, false)
-					if err == errMsgEnd {
-						e.finishStream()
-						break
-					}
-					if err != nil {
-						// Bytes already decoded are still valid; deliver
-						// them first, surface the error on the next call.
-						break
-					}
-					if data == nil {
-						break
-					}
-					e.recvBuf.Write(data)
-				}
-			}
-			return e.recvBuf.Read(p)
-		}
-		if st := e.loadCur(); st != nil {
-			data, err := e.advanceStream(st, true)
-			if err == errMsgEnd {
-				e.finishStream()
-				continue
-			}
-			if err != nil {
-				return 0, e.normalizeErr(err)
-			}
-			e.recvBuf.Write(data)
-			continue // recvBuf now has bytes (unless the group was empty)
-		}
-		// Between messages: read the next message header directly.
-		h, err := e.dec.ReadMsgHeader()
+	if e.closed.Load() {
+		return 0, ErrClosed
+	}
+	n, _ := e.recvBuf.Read(p)
+	for n < len(p) {
+		// Block only while p is still empty; after that, top up from what
+		// has already arrived.
+		span, end, err := e.next(n == 0)
 		if err != nil {
+			if n > 0 {
+				// Bytes already decoded are still valid; deliver them
+				// first, surface the error on the next call.
+				break
+			}
 			return 0, e.normalizeErr(err)
 		}
-		switch h.Kind {
-		case wire.KindSmall:
-			e.stats.wireReceived.Add(int64(wire.SmallOverhead) + int64(h.RawLen))
-			if h.RawLen == 0 {
-				// A zero-byte message adds nothing to the byte stream.
-				e.stats.msgsReceived.Add(1)
-				continue
-			}
-			if len(p) >= int(h.RawLen) {
-				// Zero-copy: decode straight into the caller's buffer.
-				out, err := e.dec.ReadSmallPayload(h, p)
-				if err != nil {
-					return 0, e.normalizeErr(err)
-				}
-				e.stats.msgsReceived.Add(1)
-				e.stats.rawReceived.Add(int64(len(out)))
-				return len(out), nil
-			}
-			tmp := make([]byte, h.RawLen)
-			if _, err := e.dec.ReadSmallPayload(h, tmp); err != nil {
-				return 0, e.normalizeErr(err)
-			}
-			e.recvBuf.Write(tmp)
-			e.stats.msgsReceived.Add(1)
-			e.stats.rawReceived.Add(int64(len(tmp)))
-		case wire.KindStream:
-			e.stats.wireReceived.Add(wire.StreamHeaderLen)
-			e.storeCur(e.startStream())
+		if len(span) == 0 && !end {
+			break // top-up: nothing more has arrived
 		}
+		c := copy(p[n:], span)
+		e.recvBuf.Write(span[c:])
+		n += c
 	}
+	return n, nil
 }
 
 // ReadChunk returns the next contiguous span of the incoming byte stream
@@ -325,74 +348,21 @@ func (e *Engine) Read(p []byte) (int, error) {
 func (e *Engine) ReadChunk() ([]byte, error) {
 	e.rmu.Lock()
 	defer e.rmu.Unlock()
+	if e.closed.Load() {
+		return nil, ErrClosed
+	}
+	if e.recvBuf.Len() > 0 {
+		// Leftovers from a partial Read: drain them first so the two
+		// consumption styles compose.
+		return e.recvBuf.Next(e.recvBuf.Len()), nil
+	}
 	for {
-		if e.closed.Load() {
-			return nil, ErrClosed
-		}
-		if e.recvBuf.Len() > 0 {
-			// Leftovers from a partial Read: drain them first so the two
-			// consumption styles compose.
-			return e.recvBuf.Next(e.recvBuf.Len()), nil
-		}
-		if st := e.loadCur(); st != nil {
-			data, err := e.advanceStream(st, true)
-			if err == errMsgEnd {
-				e.finishStream()
-				continue
-			}
-			if err != nil {
-				return nil, e.normalizeErr(err)
-			}
-			if len(data) > 0 {
-				return data, nil
-			}
-			continue
-		}
-		h, err := e.dec.ReadMsgHeader()
+		span, _, err := e.next(true)
 		if err != nil {
 			return nil, e.normalizeErr(err)
 		}
-		switch h.Kind {
-		case wire.KindSmall:
-			e.stats.wireReceived.Add(int64(wire.SmallOverhead) + int64(h.RawLen))
-			if h.RawLen == 0 {
-				e.stats.msgsReceived.Add(1)
-				continue
-			}
-			// Reuse a buffer for typical small messages, but never let a
-			// peer-announced size (up to wire.MaxGroupRaw) become memory
-			// pinned for the engine's lifetime: oversized payloads get a
-			// one-off allocation instead.
-			dst := e.smallBuf
-			if int(h.RawLen) > maxReusedSmallBuf {
-				dst = make([]byte, h.RawLen)
-			} else if cap(dst) < int(h.RawLen) {
-				e.smallBuf = make([]byte, h.RawLen)
-				dst = e.smallBuf
-			}
-			tr := e.opts.FlowTracer
-			var t0 time.Time
-			if tr.Enabled() {
-				// Small messages carry their own (possible) trace context in
-				// the payload — a fresh message means a fresh pending set.
-				e.resetRecvTrace()
-				t0 = tr.Now()
-			}
-			out, err := e.dec.ReadSmallPayload(h, dst[:cap(dst)])
-			if err != nil {
-				return nil, e.normalizeErr(err)
-			}
-			e.stats.msgsReceived.Add(1)
-			e.stats.rawReceived.Add(int64(len(out)))
-			if tr.Enabled() {
-				now := tr.Now()
-				e.recordRecvSpan(obs.StageReceive, t0, now.Sub(t0), int(wire.SmallOverhead)+len(out), 0)
-				e.recordRecvSpan(obs.StageDeliver, now, 0, len(out), 0)
-			}
-			return out, nil
-		case wire.KindStream:
-			e.stats.wireReceived.Add(wire.StreamHeaderLen)
-			e.storeCur(e.startStream())
+		if len(span) > 0 {
+			return span, nil
 		}
 	}
 }
@@ -400,7 +370,8 @@ func (e *Engine) ReadChunk() ([]byte, error) {
 // ReceiveMessage consumes exactly one AdOC message and writes its raw
 // content to w, returning the byte count — the adoc_receive_file
 // equivalent. It must be called on a message boundary: mixing it with a
-// partial Read of another message is an error.
+// partial Read of another message is an error. Spans go straight from the
+// receive step to w; the engine's own receive buffer is never involved.
 func (e *Engine) ReceiveMessage(w io.Writer) (int64, error) {
 	e.rmu.Lock()
 	defer e.rmu.Unlock()
@@ -410,56 +381,24 @@ func (e *Engine) ReceiveMessage(w io.Writer) (int64, error) {
 	if e.recvBuf.Len() > 0 || e.loadCur() != nil {
 		return 0, ErrMidMessage
 	}
-	h, err := e.dec.ReadMsgHeader()
-	if err != nil {
-		return 0, e.normalizeErr(err)
-	}
-	switch h.Kind {
-	case wire.KindSmall:
-		e.stats.wireReceived.Add(int64(wire.SmallOverhead) + int64(h.RawLen))
-		buf := make([]byte, h.RawLen)
-		if _, err := e.dec.ReadSmallPayload(h, buf); err != nil {
-			return 0, e.normalizeErr(err)
+	var total int64
+	for {
+		span, end, err := e.next(true)
+		if err != nil {
+			e.dropStream(err)
+			return total, e.normalizeErr(err)
 		}
-		if _, err := w.Write(buf); err != nil {
-			return 0, err
-		}
-		e.stats.msgsReceived.Add(1)
-		e.stats.rawReceived.Add(int64(len(buf)))
-		return int64(len(buf)), nil
-	case wire.KindStream:
-		e.stats.wireReceived.Add(wire.StreamHeaderLen)
-		st := e.startStream()
-		e.storeCur(st)
-		var total int64
-		for {
-			data, err := e.advanceStream(st, true)
-			if len(data) > 0 {
-				// Straight from the decode stage to w; the engine's own
-				// receive buffer is never involved.
-				n, werr := w.Write(data)
-				total += int64(n)
-				if werr != nil {
-					st.abort(werr)
-					e.storeCur(nil)
-					return total, werr
-				}
-			}
-			if err == errMsgEnd {
-				e.finishStream()
-				return total, nil
-			}
+		if len(span) > 0 {
+			n, err := w.Write(span)
+			total += int64(n)
 			if err != nil {
-				// Abort before dropping cur: the reception goroutine (and
-				// decode pipeline) would otherwise block on full queues
-				// forever, unreachable even by Close.
-				st.abort(err)
-				e.storeCur(nil)
-				return total, e.normalizeErr(err)
+				e.dropStream(err)
+				return total, err
 			}
 		}
-	default:
-		return 0, wire.ErrBadKind
+		if end {
+			return total, nil
+		}
 	}
 }
 
