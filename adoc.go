@@ -268,10 +268,13 @@ type Options struct {
 	BufferSize int
 	// SmallThreshold is the no-compression cutoff (default 512 KB).
 	SmallThreshold int
-	// ProbeSize is the uncompressed probe prefix (default 256 KB).
+	// ProbeSize is how many wire bytes of one message a sample of the
+	// connection's link estimate must cover, and the uncompressed prefix
+	// a message of at least twice that size sends while there is no
+	// estimate yet (default 256 KB, at most 16 MiB).
 	ProbeSize int
-	// FastCutoffBps disables compression for a message when the probe
-	// measures a faster link (default 500 Mbit/s).
+	// FastCutoffBps sends a message uncompressed when the link estimate
+	// is faster and the message's MinLevel is 0 (default 500 Mbit/s).
 	FastCutoffBps float64
 	// QueueCapacity bounds the emission FIFO in packets (default 256).
 	QueueCapacity int
@@ -293,7 +296,8 @@ type Options struct {
 	// DisableEntropyBypass turns off the per-buffer incompressibility
 	// probe that ships high-entropy buffers raw without compressing them.
 	DisableEntropyBypass bool
-	// DisableProbe skips the bandwidth probe.
+	// DisableProbe never sends a message uncompressed for link speed:
+	// no probe prefix and no fast-link bypass.
 	DisableProbe bool
 	// Trace receives engine events.
 	Trace Trace

@@ -151,13 +151,13 @@ func (c Config) withDefaults() Config {
 // session: the full adaptive configuration, with the small-message
 // threshold lowered so coalesced frame batches reach the adaptive
 // pipeline (instead of the raw small-message fast path sized for
-// single-flow traffic) and the per-message bandwidth probe disabled (the
-// session sends a long sequence of messages; burning 256 KB of raw
-// prefix on each would swamp the compression gains it is probing for).
-// Both knobs are endpoint-local, so peers need not agree on them.
+// single-flow traffic). The fast-link bypass stays on: the engine
+// measures the link once per connection, not per batch, so a tunnel over
+// a fast link sends its batches raw on the writer's thread and one over a
+// slow link keeps adapting. The knob is endpoint-local, so peers need not
+// agree on it.
 func TransportOptions() adocnet.Options {
 	o := adocnet.Defaults()
 	o.SmallThreshold = 8 * 1024
-	o.DisableProbe = true
 	return o
 }

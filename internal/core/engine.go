@@ -70,6 +70,9 @@ type Engine struct {
 
 	stats engineStats
 
+	// link is the measured link speed that decides the fast-link bypass.
+	link linkEstimate
+
 	// Live-introspection wiring: the registry's connection table entry,
 	// its event bus, and the most recent adapt transition (served by the
 	// /debug/conns fill callback).
@@ -208,7 +211,7 @@ func bindEngineStats(reg *obs.Registry) engineStats {
 		rawReceived:   reg.Counter(MetricRawReceived, "User payload bytes delivered to Read.").Child(),
 		wireReceived:  reg.Counter(MetricWireReceived, "Bytes consumed from the socket.").Child(),
 		smallSent:     reg.Counter(MetricSmallSent, "Messages that took the no-pipeline small fast path.").Child(),
-		probeBypasses: reg.Counter(MetricProbeBypasses, "Messages sent raw because the link probe exceeded the fast cutoff.").Child(),
+		probeBypasses: reg.Counter(MetricProbeBypasses, "Messages sent raw because the link estimate exceeded the fast cutoff.").Child(),
 	}
 }
 
@@ -221,7 +224,7 @@ type Stats struct {
 	RawReceived, WireReceived int64
 	// SmallSent counts messages that took the no-pipeline fast path.
 	SmallSent int64
-	// ProbeBypasses counts messages sent raw because the link probe
+	// ProbeBypasses counts messages sent raw because the link estimate
 	// exceeded the fast cutoff.
 	ProbeBypasses int64
 	// QueueHighWater is the maximum FIFO occupancy seen on this engine.
@@ -306,6 +309,7 @@ func New(rw io.ReadWriter, opts Options) (*Engine, error) {
 		pool:   pool,
 		stats:  bindEngineStats(reg),
 		events: reg.Events(),
+		link:   linkEstimate{minBytes: opts.ProbeSize},
 	}
 	// The engine observes its own transitions (last-transition snapshot
 	// for /debug/conns, adapt event on the bus) in front of the chain
@@ -365,7 +369,8 @@ func (e *Engine) noteTransition(tr adapt.Transition) {
 }
 
 // fillConnState populates the engine-owned fields of a /debug/conns
-// snapshot: counters, ratio, and the controller's live decision state.
+// snapshot: counters, ratio, the link estimate, and the controller's live
+// decision state.
 func (e *Engine) fillConnState(st *obs.ConnState) {
 	st.MsgsSent = e.stats.msgsSent.Value()
 	st.MsgsReceived = e.stats.msgsReceived.Value()
@@ -374,6 +379,7 @@ func (e *Engine) fillConnState(st *obs.ConnState) {
 	st.RawBytesRecv = e.stats.rawReceived.Value()
 	st.WireBytesRecv = e.stats.wireReceived.Value()
 	st.CompressionRatio = e.CompressionRatio()
+	st.LinkBps = e.link.Bps()
 	snap := e.ctrl.Snapshot()
 	st.Level = int(snap.Level)
 	st.PinRemaining = snap.PinRemaining

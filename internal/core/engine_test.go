@@ -683,6 +683,14 @@ func TestOptionsSanitize(t *testing.T) {
 	if s.BufferSize < s.PacketSize {
 		t.Fatal("BufferSize not raised to PacketSize")
 	}
+	huge := DefaultOptions()
+	huge.ProbeSize = 2 * wire.MaxGroupRaw
+	if s, err = huge.Sanitized(); err != nil {
+		t.Fatal(err)
+	}
+	if s.ProbeSize != wire.MaxGroupRaw {
+		t.Fatalf("ProbeSize %d kept above the largest group, want %d", s.ProbeSize, wire.MaxGroupRaw)
+	}
 
 	// Codec-set resolution of the level bounds: the top clamps down to
 	// what the set serves, and a forced minimum on a mask hole resolves

@@ -233,3 +233,43 @@ func TestFillConnState(t *testing.T) {
 		t.Fatal("Events() is not the bound registry's bus")
 	}
 }
+
+// TestFillConnStateLinkBps checks that /debug/conns shows the link
+// estimate that decides the fast-link bypass: 0 before anything was
+// measured, then the measured speed. The table is polled while the
+// message is in flight, as an operator's request would be, so the race
+// detector sees the fill read the estimate without wmu.
+func TestFillConnStateLinkBps(t *testing.T) {
+	reg := obs.NewRegistry()
+	l := newMeteredLink(1e6, 0)
+	o := DefaultOptions()
+	o.Clock = l.clk
+	o.Metrics = reg
+	e, err := New(l, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if st, _ := reg.Conns().Get(e.Handle().ID()); st.LinkBps != 0 {
+		t.Fatalf("LinkBps = %v before any write, want 0", st.LinkBps)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, err := e.WriteMessage(incompressibleData(1<<20, 1)); err != nil {
+			t.Error(err)
+		}
+	}()
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+			reg.Conns().Get(e.Handle().ID())
+		}
+	}
+	st, _ := reg.Conns().Get(e.Handle().ID())
+	if st.LinkBps != e.link.Bps() || st.LinkBps < 0.5e6 || st.LinkBps > 2e6 {
+		t.Fatalf("LinkBps = %v on a 1 MB/s link (engine estimate %v)", st.LinkBps, e.link.Bps())
+	}
+}

@@ -1,9 +1,9 @@
 // Package core implements the AdOC engine — the paper's primary
 // contribution (§3-§5): the two-thread sender pipeline (compression thread
 // feeding an emission thread through a FIFO packet queue), the symmetric
-// receiver pipeline, the small-message fast path, the bandwidth probe for
-// very fast links, and full read/write-semantics support including partial
-// reads.
+// receiver pipeline, the small-message fast path, the raw bypass for very
+// fast links (decided from a per-connection link estimate), and full
+// read/write-semantics support including partial reads.
 //
 // One Engine wraps one bidirectional connection (anything implementing
 // io.ReadWriter, typically a net.Conn) and provides message-oriented sends
@@ -19,6 +19,7 @@ import (
 	"adoc/internal/clock"
 	"adoc/internal/codec"
 	"adoc/internal/obs"
+	"adoc/internal/wire"
 )
 
 // Paper constants (§3.2, §5).
@@ -33,12 +34,15 @@ const (
 	// are short (less than 512 KB), the data are sent uncompressed
 	// directly without launching the threads".
 	DefaultSmallThreshold = 512 * 1024
-	// DefaultProbeSize is the bandwidth-measurement prefix: "we measure
+	// DefaultProbeSize is the bandwidth-measurement size: "we measure
 	// the time to transmit a part of the data (256 KB) without
-	// compression".
+	// compression". Here it is the wire bytes one link-estimate sample
+	// must cover, and the raw prefix a message above 512 KB sends while
+	// its connection has no estimate yet.
 	DefaultProbeSize = 256 * 1024
 	// DefaultFastCutoffBps is the fast-network threshold: "If this speed
-	// is above 500 Mb/s ... we send the remaining data uncompressed".
+	// is above 500 Mb/s ... we send the remaining data uncompressed",
+	// compared with the connection's link estimate.
 	DefaultFastCutoffBps = 500e6 / 8
 	// DefaultQueueCapacity bounds the emission FIFO in packets. The paper
 	// leaves the queue unbounded; 256 packets (2 MB) is far above the
@@ -75,8 +79,10 @@ type Trace struct {
 	OnLevelChange func(old, new codec.Level)
 	// OnDivergence fires when the divergence guard demotes a level.
 	OnDivergence func(from, to codec.Level)
-	// OnProbe fires after the bandwidth probe with the measured speed and
-	// whether the compression bypass was taken.
+	// OnProbe fires after a message sent a probe prefix (only until the
+	// connection has a link estimate) with the estimate in bytes per
+	// second (0 while its first sample is still short of ProbeSize) and
+	// whether the rest of the message takes the raw bypass.
 	OnProbe func(bps float64, bypass bool)
 	// OnGroupSent fires after a buffer group fully left the socket:
 	// compression level, raw payload size, bytes on the wire, and the
@@ -101,10 +107,14 @@ type Options struct {
 	// SmallThreshold is the size under which messages are sent raw with
 	// no pipeline.
 	SmallThreshold int
-	// ProbeSize is the uncompressed prefix used to measure link speed.
+	// ProbeSize is how many wire bytes of one message a sample of the
+	// link estimate must cover before it counts, and the uncompressed
+	// prefix a message of at least twice that size sends to measure the
+	// link while the connection has no estimate (at most wire.MaxGroupRaw).
 	ProbeSize int
-	// FastCutoffBps disables compression for the message when the probe
-	// measures more than this many bytes per second.
+	// FastCutoffBps sends a message uncompressed on the writer's thread
+	// (the raw bypass) when the link estimate exceeds this many bytes
+	// per second and the message's minimum level is 0.
 	FastCutoffBps float64
 	// QueueCapacity bounds the emission FIFO (in packets).
 	QueueCapacity int
@@ -135,7 +145,9 @@ type Options struct {
 	// probe, restoring the always-compress-then-notice behavior (ablation,
 	// and the baseline the bypass is benchmarked against).
 	DisableEntropyBypass bool
-	// DisableProbe skips the bandwidth probe (ablation).
+	// DisableProbe never takes the raw bypass and never sends a probe
+	// prefix: every stream message adapts (ablation). The link estimate
+	// is still measured and published.
 	DisableProbe bool
 	// DisableDivergenceGuard and DisableIncompressibleGuard pass through
 	// to the controller (ablations).
@@ -199,6 +211,9 @@ func (o Options) Sanitized() (Options, error) {
 	if o.ProbeSize <= 0 {
 		o.ProbeSize = d.ProbeSize
 	}
+	// The probe prefix is one group, so it cannot exceed the largest group
+	// a decoder accepts.
+	o.ProbeSize = min(o.ProbeSize, wire.MaxGroupRaw)
 	if o.FastCutoffBps <= 0 {
 		o.FastCutoffBps = d.FastCutoffBps
 	}
@@ -240,9 +255,6 @@ func (o Options) Sanitized() (Options, error) {
 	o.MinLevel = minLevel
 	if o.BufferSize < o.PacketSize {
 		o.BufferSize = o.PacketSize
-	}
-	if o.ProbeSize > o.SmallThreshold && o.SmallThreshold > 0 {
-		o.ProbeSize = o.SmallThreshold / 2
 	}
 	return o, nil
 }

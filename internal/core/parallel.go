@@ -25,7 +25,6 @@ package core
 
 import (
 	"fmt"
-	"hash/adler32"
 	"io"
 	"sync/atomic"
 	"time"
@@ -242,7 +241,7 @@ func (e *Engine) decodeGroup(g completedGroup) decResult {
 	if err != nil {
 		return decResult{err: err}
 	}
-	if adler32.Checksum(raw) != g.sum {
+	if wire.Checksum(raw) != g.sum {
 		return decResult{err: wire.ErrChecksum}
 	}
 	return decResult{data: raw, rawLen: g.rawLen}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"hash/adler32"
 	"io"
 	"time"
 
@@ -102,7 +101,8 @@ func (e *Engine) SendMessageLevels(r io.Reader, size int64, min, max codec.Level
 	}
 	e.sendTC = obs.TraceContext{}
 	if size >= 0 && size < int64(e.opts.SmallThreshold) && min == codec.MinLevel {
-		buf := make([]byte, size)
+		buf := bufpool.Get(int(size))
+		defer bufpool.Put(buf)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return 0, 0, fmt.Errorf("adoc: reading source: %w", err)
 		}
@@ -110,18 +110,19 @@ func (e *Engine) SendMessageLevels(r io.Reader, size int64, min, max codec.Level
 	}
 	if size < 0 {
 		// Unknown size: peek up to SmallThreshold to decide the path.
-		probe := make([]byte, e.opts.SmallThreshold)
-		n, rerr := io.ReadFull(r, probe)
+		peek := bufpool.Get(e.opts.SmallThreshold)
+		defer bufpool.Put(peek)
+		n, rerr := io.ReadFull(r, peek)
 		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
 			if min == codec.MinLevel {
-				return e.writeSmall(probe[:n])
+				return e.writeSmall(peek[:n])
 			}
-			return e.writeStream(bytes.NewReader(probe[:n]), int64(n), min, max)
+			return e.writeStream(bytes.NewReader(peek[:n]), int64(n), min, max)
 		}
 		if rerr != nil {
 			return 0, 0, fmt.Errorf("adoc: reading source: %w", rerr)
 		}
-		r = io.MultiReader(bytes.NewReader(probe[:n]), r)
+		r = io.MultiReader(bytes.NewReader(peek[:n]), r)
 	}
 	return e.writeStream(r, size, min, max)
 }
@@ -158,9 +159,10 @@ func (e *Engine) writeSmall(p []byte) (accepted, wireN int64, err error) {
 	return int64(len(p)), int64(len(msg)), nil
 }
 
-// writeStream sends one stream message: header, optional probe, then
-// either the raw bypass (fast link) or the adaptive pipeline. Caller holds
-// wmu. delivered is the raw payload of every group that fully reached the
+// writeStream sends one stream message: header, then either the raw
+// bypass (fast link) or the adaptive pipeline, preceded by a raw probe
+// prefix while the connection has no link estimate yet. Caller holds wmu.
+// delivered is the raw payload of every group that fully reached the
 // socket (the basis of the io.Writer partial-write count; on success it is
 // every byte read from src); wireBytes counts everything written, and is
 // folded into Stats on every return path — error or not — so a mid-stream
@@ -170,6 +172,7 @@ func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (d
 		return 0, 0, err
 	}
 	defer func() { e.stats.wireSent.Add(wireBytes) }()
+	e.link.startMessage()
 	totalRaw := wire.UnknownTotal
 	if size >= 0 {
 		totalRaw = uint64(size)
@@ -183,40 +186,48 @@ func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (d
 
 	remaining := size // < 0 when unknown
 
-	// Bandwidth probe (paper §5 "Fast Networks"): only when adaptation is
-	// allowed to pick level 0 and the payload is large enough that the
-	// probe prefix is guaranteed to exist.
+	// Fast-link rule (paper §5 "Fast Networks"), for messages adaptation
+	// may send at level 0: above FastCutoffBps the rest goes out raw on
+	// this thread. The decision reads the connection's link estimate. Until
+	// it has one, a message of at least twice ProbeSize (or of unknown
+	// size) first sends ProbeSize bytes raw to measure the link, as the
+	// paper probes 256 KB of messages above 512 KB; shorter messages adapt
+	// and feed the estimate from the emitter. The emitter alone cannot
+	// seed it for compressible data: on a fast link the controller still
+	// compresses such a message, so its samples time the compressor, not
+	// the link, and read below the cutoff.
 	bypass := false
-	if min == codec.MinLevel && !e.opts.DisableProbe &&
-		(size >= int64(e.opts.SmallThreshold) || size < 0) {
-		probeBuf := bufpool.Get(e.opts.ProbeSize)
-		defer bufpool.Put(probeBuf)
-		n, rerr := io.ReadFull(src, probeBuf)
-		if rerr != nil && rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
-			return delivered, wireBytes, fmt.Errorf("adoc: reading source: %w", rerr)
+	if min == codec.MinLevel && !e.opts.DisableProbe {
+		probed := false
+		if e.link.Bps() == 0 && (size < 0 || size >= 2*int64(e.opts.ProbeSize)) {
+			probeBuf := bufpool.Get(e.opts.ProbeSize)
+			defer bufpool.Put(probeBuf)
+			n, rerr := io.ReadFull(src, probeBuf)
+			if rerr != nil && rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
+				return delivered, wireBytes, fmt.Errorf("adoc: reading source: %w", rerr)
+			}
+			if n > 0 {
+				start := e.opts.Clock.Now()
+				w, err := e.writeRawGroupDirect(probeBuf[:n])
+				wireBytes += w
+				if err != nil {
+					return delivered, wireBytes, err
+				}
+				delivered += int64(n)
+				e.ctrl.RecordDelivery(codec.MinLevel, n, e.opts.Clock.Now().Sub(start))
+				if remaining >= 0 {
+					remaining -= int64(n)
+				}
+				e.stats.rawSent.Add(int64(n))
+				probed = true
+			}
+			if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
+				remaining = 0
+			}
 		}
-		if n > 0 {
-			start := e.opts.Clock.Now()
-			w, err := e.writeRawGroupDirect(probeBuf[:n])
-			wireBytes += w
-			if err != nil {
-				return delivered, wireBytes, err
-			}
-			delivered += int64(n)
-			dur := e.opts.Clock.Now().Sub(start)
-			bps := float64(n) / maxSeconds(dur)
-			e.ctrl.RecordDelivery(codec.MinLevel, n, dur)
-			bypass = bps > e.opts.FastCutoffBps
-			if e.opts.Trace.OnProbe != nil {
-				e.opts.Trace.OnProbe(bps, bypass)
-			}
-			if remaining >= 0 {
-				remaining -= int64(n)
-			}
-			e.stats.rawSent.Add(int64(n))
-		}
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-			remaining = 0
+		bypass = e.link.Bps() > e.opts.FastCutoffBps
+		if probed && e.opts.Trace.OnProbe != nil {
+			e.opts.Trace.OnProbe(e.link.Bps(), bypass)
 		}
 	}
 
@@ -243,46 +254,25 @@ func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (d
 	return delivered, wireBytes, nil
 }
 
-// maxSeconds avoids division by zero on clocks with coarse resolution.
-func maxSeconds(d time.Duration) float64 {
-	s := d.Seconds()
-	if s <= 0 {
-		return 1e-9
-	}
-	return s
-}
-
 // writeRawGroupDirect writes one level-0 group synchronously (probe and
-// bypass paths run on the caller thread; no pipeline exists yet). Bytes a
-// failed Write did manage to push are included in the returned count.
+// bypass paths run on the caller thread; no pipeline exists yet), framed
+// into one pooled buffer so the whole group costs a single Write, which
+// feeds the link estimate. Bytes a failed Write did manage to push are
+// included in the returned count.
 func (e *Engine) writeRawGroupDirect(chunk []byte) (int64, error) {
-	var wireBytes int64
-	hdr := wire.AppendGroupBegin(nil, codec.MinLevel)
-	n, err := e.rw.Write(hdr)
-	wireBytes += int64(n)
-	if err != nil {
-		return wireBytes, err
-	}
-	frame := make([]byte, 0, e.opts.PacketSize+wire.FramePacketOverhead)
+	packets := (len(chunk) + e.opts.PacketSize - 1) / e.opts.PacketSize
+	frame := bufpool.Get(wire.FrameGroupBeginLen + packets*wire.FramePacketOverhead +
+		len(chunk) + wire.FrameGroupEndLen)[:0]
+	frame = wire.AppendGroupBegin(frame, codec.MinLevel)
 	for off := 0; off < len(chunk); off += e.opts.PacketSize {
-		end := off + e.opts.PacketSize
-		if end > len(chunk) {
-			end = len(chunk)
-		}
-		frame = wire.AppendPacket(frame[:0], chunk[off:end])
-		n, err := e.rw.Write(frame)
-		wireBytes += int64(n)
-		if err != nil {
-			return wireBytes, err
-		}
+		frame = wire.AppendPacket(frame, chunk[off:off+min(e.opts.PacketSize, len(chunk)-off)])
 	}
-	tail := wire.AppendGroupEnd(nil, len(chunk), adler32.Checksum(chunk))
-	n, err = e.rw.Write(tail)
-	wireBytes += int64(n)
-	if err != nil {
-		return wireBytes, err
-	}
-	return wireBytes, nil
+	frame = wire.AppendGroupEnd(frame, len(chunk), wire.Checksum(chunk))
+	start := e.opts.Clock.Now()
+	n, err := e.rw.Write(frame)
+	e.link.add(n, start, e.opts.Clock.Now())
+	bufpool.Put(frame)
+	return int64(n), err
 }
 
 // sendRawBypass sends the remainder of the message uncompressed on the
@@ -330,8 +320,9 @@ type emitResult struct {
 	err          error
 }
 
-// runEmitter is the emission thread: it drains the FIFO onto the socket
-// and measures per-group delivery time, feeding the divergence guard.
+// runEmitter is the emission thread: it drains the FIFO onto the socket,
+// feeds each Write to the link estimate, and measures
+// per-group delivery time, feeding the divergence guard.
 // The message's flow-trace context arrives as a parameter (captured
 // under wmu at spawn), so a sampled message's wire spans need no shared
 // state with the writer.
@@ -348,10 +339,13 @@ func (e *Engine) runEmitter(q *fifo.Queue[segment], res chan<- emitResult, tc ob
 			res <- emitResult{wireBytes, rawDelivered, err}
 			return
 		}
+		start := e.opts.Clock.Now()
 		if seg.groupStart {
-			groupStart = e.opts.Clock.Now()
+			groupStart = start
 		}
 		n, werr := e.rw.Write(seg.data)
+		end := e.opts.Clock.Now()
+		e.link.add(n, start, end)
 		wireBytes += int64(n)
 		if werr != nil {
 			q.Abort(werr)
@@ -360,7 +354,7 @@ func (e *Engine) runEmitter(q *fifo.Queue[segment], res chan<- emitResult, tc ob
 		}
 		if seg.groupEnd {
 			rawDelivered += int64(seg.groupRaw)
-			dur := e.opts.Clock.Now().Sub(groupStart)
+			dur := end.Sub(groupStart)
 			e.ctrl.RecordDelivery(seg.level, seg.groupRaw, dur)
 			if tc.Sampled {
 				e.opts.FlowTracer.Record(tc, 0, obs.StageWire, groupStart, dur, seg.groupWire, int(seg.level))
@@ -472,7 +466,7 @@ func (e *Engine) compressBufferAt(dst *segList, level codec.Level, chunk, scratc
 func (e *Engine) pushBlockGroup(dst *segList, level codec.Level, block, raw []byte) {
 	p := newPacketizer(e, dst, level)
 	_, _ = p.Write(block) // appends to dst; cannot fail
-	p.finish(len(raw), adler32.Checksum(raw))
+	p.finish(len(raw), wire.Checksum(raw))
 }
 
 // pushFlateGroup streams chunk through a DEFLATE compressor, checking the
@@ -510,7 +504,7 @@ func (e *Engine) pushFlateGroup(dst *segList, level codec.Level, chunk []byte) e
 	if err := sw.Close(); err != nil {
 		return err
 	}
-	p.finish(fed, adler32.Checksum(chunk[:fed]))
+	p.finish(fed, wire.Checksum(chunk[:fed]))
 	if aborted && fed < len(chunk) {
 		// Remainder of the buffer goes out raw.
 		rest := chunk[fed:]

@@ -60,9 +60,13 @@ type ConnState struct {
 	RawBytesRecv     int64   `json:"raw_bytes_received"`
 	WireBytesRecv    int64   `json:"wire_bytes_received"`
 	CompressionRatio float64 `json:"compression_ratio"`
-	Level            int     `json:"level"`
-	PinRemaining     int     `json:"pin_remaining"`
-	BypassRun        int     `json:"bypass_run"`
+	// LinkBps is the engine's measured link speed in bytes per second
+	// (0 until measured); above the fast cutoff, messages skip
+	// compression.
+	LinkBps      float64 `json:"link_bps"`
+	Level        int     `json:"level"`
+	PinRemaining int     `json:"pin_remaining"`
+	BypassRun    int     `json:"bypass_run"`
 
 	LastTransition *ConnTransition `json:"last_transition,omitempty"`
 

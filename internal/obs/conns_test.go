@@ -130,7 +130,7 @@ func TestConnStateJSONShape(t *testing.T) {
 	if !strings.Contains(string(out), `"level_bounds":[1,10]`) {
 		t.Fatalf("JSON missing level_bounds array: %s", out)
 	}
-	for _, key := range []string{`"id"`, `"kind"`, `"config"`, `"uptime_seconds"`, `"streams"`} {
+	for _, key := range []string{`"id"`, `"kind"`, `"config"`, `"uptime_seconds"`, `"link_bps"`, `"streams"`} {
 		if !strings.Contains(string(out), key) {
 			t.Errorf("JSON missing %s: %s", key, out)
 		}
