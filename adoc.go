@@ -28,7 +28,6 @@ package adoc
 import (
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"os"
 	"reflect"
@@ -243,143 +242,27 @@ const (
 // pool, not a private worker count.
 type WorkerPool = core.WorkerPool
 
-// NewWorkerPool returns a dedicated pool of size workers (size <= 0
-// selects GOMAXPROCS). Most callers want the process-wide default —
-// leave Options.SharedPool nil — and build a dedicated pool only to
-// isolate one tenant's compression load from another's.
-func NewWorkerPool(size int) *WorkerPool { return core.NewWorkerPool(size) }
-
-// DefaultWorkerPool returns the process-wide shared pool — the one every
-// connection without an explicit Options.SharedPool submits to. Exposed
-// so operational surfaces (health checks) can watch its queue depth.
+// DefaultWorkerPool returns the process-wide pool every connection
+// submits to. Exposed so operational surfaces (health checks) can watch
+// its queue depth.
 func DefaultWorkerPool() *WorkerPool { return core.DefaultWorkerPool() }
 
-// Options tunes a connection. The zero value of any field selects the
+// Options tunes a connection; it is the engine's own options type. A zero
+// PacketSize, BufferSize, SmallThreshold or Parallelism selects the
 // paper's default (8 KB packets, 200 KB buffers, 512 KB small-message
-// threshold, 256 KB probe, 500 Mbit/s fast cutoff).
-type Options struct {
-	// MinLevel and MaxLevel bound adaptation; MinLevel > 0 forces
-	// compression on, MaxLevel == 0 disables it (set MinLevel = 0,
-	// MaxLevel = MaxLevel for the default adaptive behaviour).
-	MinLevel, MaxLevel Level
-	// PacketSize is the FIFO packet size in bytes (default 8192).
-	PacketSize int
-	// BufferSize is the compression/adaptation unit (default 200 KB).
-	BufferSize int
-	// SmallThreshold is the no-compression cutoff (default 512 KB).
-	SmallThreshold int
-	// ProbeSize is how many wire bytes of one message a sample of the
-	// connection's link estimate must cover, and the uncompressed prefix
-	// a message of at least twice that size sends while there is no
-	// estimate yet (default 256 KB, at most 16 MiB).
-	ProbeSize int
-	// FastCutoffBps sends a message uncompressed when the link estimate
-	// is faster and the message's MinLevel is 0 (default 500 Mbit/s).
-	FastCutoffBps float64
-	// QueueCapacity bounds the emission FIFO in packets (default 256).
-	QueueCapacity int
-	// Parallelism is this connection's in-flight window on the shared
-	// worker pool: how many adaptation buffers it may have submitted for
-	// compression (or receive groups for decompression) at once (default
-	// min(GOMAXPROCS, 4)). Every setting runs the same pipeline, 1 being
-	// the paper's sequential one as the window-of-1 case, produces the
-	// same wire framing, and delivers bytes in order.
-	Parallelism int
-	// SharedPool is the worker pool this connection submits jobs to; nil
-	// selects the process-wide default pool sized to GOMAXPROCS.
-	SharedPool *WorkerPool
-	// Codecs restricts the codec set this endpoint runs (and, through
-	// adocnet, advertises). Zero means every registered codec. Raw copy
-	// is always included; the effective MaxLevel is clamped to what the
-	// set can serve.
-	Codecs CodecMask
-	// DisableEntropyBypass turns off the per-buffer incompressibility
-	// probe that ships high-entropy buffers raw without compressing them.
-	DisableEntropyBypass bool
-	// DisableProbe never sends a message uncompressed for link speed:
-	// no probe prefix and no fast-link bypass.
-	DisableProbe bool
-	// Trace receives engine events.
-	Trace Trace
-	// Metrics is the registry this connection's stack publishes to; nil
-	// selects the process-wide DefaultMetrics(). It binds per stack the
-	// way SharedPool does.
-	Metrics *MetricsRegistry
-	// FlowTracer records sampled per-stage pipeline spans (enqueue, queue,
-	// compress, wire, receive, decompress, deliver) and feeds the
-	// adoc_stage_seconds histograms. Nil, or a tracer with sampling
-	// disabled, costs one nil check per stage and allocates nothing.
-	FlowTracer *FlowTracer
-	// Logger receives structured events at the stack's decision points
-	// (handshake outcomes, adapt transitions, backend health, drain). Nil
-	// means silent.
-	Logger *slog.Logger
-}
+// threshold, one in-flight buffer per core up to 4). The level bounds are
+// taken as given: MinLevel > 0 forces compression on and MaxLevel == 0
+// disables it, so start from DefaultOptions for the adaptive range
+// [0, 10]. The remaining engine parameters are the paper's constants: a
+// 256 KB link-speed probe and a 500 Mbit/s fast-link cutoff.
+//
+// Options.Effective returns the configuration a Conn built from the
+// options actually runs, or the error NewConn would return.
+type Options = core.Options
 
 // DefaultOptions returns the paper's configuration with full adaptive
 // range [0, 10].
-func DefaultOptions() Options {
-	return Options{MinLevel: MinLevel, MaxLevel: MaxLevel}
-}
-
-// Effective returns o with zero-valued fields resolved to the paper
-// defaults — the configuration a Conn built from o actually runs. The
-// resolution is the engine's own (one rule set, no drift): sizes and
-// thresholds fill from the defaults, level bounds pass through as given
-// (a zero MaxLevel really does mean compression off), and invalid bounds
-// return the same error NewConn would.
-func (o Options) Effective() (Options, error) {
-	c, err := o.toCore().Sanitized()
-	if err != nil {
-		return o, err
-	}
-	o.MinLevel, o.MaxLevel = c.MinLevel, c.MaxLevel
-	o.PacketSize = c.PacketSize
-	o.BufferSize = c.BufferSize
-	o.SmallThreshold = c.SmallThreshold
-	o.ProbeSize = c.ProbeSize
-	o.FastCutoffBps = c.FastCutoffBps
-	o.QueueCapacity = c.QueueCapacity
-	o.Parallelism = c.Parallelism
-	o.Codecs = c.Codecs
-	return o, nil
-}
-
-func (o Options) toCore() core.Options {
-	c := core.DefaultOptions()
-	c.MinLevel = o.MinLevel
-	c.MaxLevel = o.MaxLevel
-	if o.PacketSize > 0 {
-		c.PacketSize = o.PacketSize
-	}
-	if o.BufferSize > 0 {
-		c.BufferSize = o.BufferSize
-	}
-	if o.SmallThreshold > 0 {
-		c.SmallThreshold = o.SmallThreshold
-	}
-	if o.ProbeSize > 0 {
-		c.ProbeSize = o.ProbeSize
-	}
-	if o.FastCutoffBps > 0 {
-		c.FastCutoffBps = o.FastCutoffBps
-	}
-	if o.QueueCapacity > 0 {
-		c.QueueCapacity = o.QueueCapacity
-	}
-	if o.Parallelism > 0 {
-		c.Parallelism = o.Parallelism
-	}
-	c.SharedPool = o.SharedPool
-	c.Codecs = o.Codecs
-	c.DisableEntropyBypass = o.DisableEntropyBypass
-	c.DisableProbe = o.DisableProbe
-	c.Trace = o.Trace
-	c.Metrics = o.Metrics
-	c.FlowTracer = o.FlowTracer
-	c.Logger = o.Logger
-	return c
-}
+func DefaultOptions() Options { return core.DefaultOptions() }
 
 // registry maps connection values to their AdOC state, mirroring the C
 // library's static descriptor table ("a static variable is used to store

@@ -63,8 +63,8 @@ func options(min, max, packet, buffer int, trace bool) adocnet.Options {
 	opts.BufferSize = buffer
 	if trace {
 		opts.Trace = adoc.Trace{
-			OnLevelChange: func(old, new adoc.Level) {
-				fmt.Printf("  level %v -> %v\n", old, new)
+			OnTransition: func(tr adoc.AdaptTransition) {
+				fmt.Printf("  level %v -> %v (%s)\n", tr.From, tr.To, tr.Cause)
 			},
 			OnProbe: func(bps float64, bypass bool) {
 				fmt.Printf("  probe: %.1f Mbit/s, bypass=%v\n", bps*8/1e6, bypass)

@@ -28,7 +28,7 @@ type Conn struct {
 // NewConn wraps rw in an AdOC connection. Both endpoints of a link must
 // speak AdOC (the wire format is self-describing but not plaintext).
 func NewConn(rw io.ReadWriter, opts Options) (*Conn, error) {
-	eng, err := core.New(rw, opts.toCore())
+	eng, err := core.New(rw, opts)
 	if err != nil {
 		return nil, err
 	}

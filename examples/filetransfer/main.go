@@ -44,8 +44,8 @@ func transfer(prof netsim.Profile, hb []byte, min, max adoc.Level, trace bool) (
 			OnProbe: func(bps float64, bypass bool) {
 				fmt.Printf("  probe measured %.2f Mbit/s -> bypass=%v\n", bps*8/1e6, bypass)
 			},
-			OnLevelChange: func(old, new adoc.Level) {
-				fmt.Printf("  level %-7v -> %v\n", old, new)
+			OnTransition: func(tr adoc.AdaptTransition) {
+				fmt.Printf("  level %-7v -> %v (%s)\n", tr.From, tr.To, tr.Cause)
 			},
 			OnDivergence: func(from, to adoc.Level) {
 				fmt.Printf("  divergence guard: %v demoted to %v\n", from, to)

@@ -113,12 +113,8 @@ type Transition struct {
 type Config struct {
 	Min, Max codec.Level
 	Clock    clock.Clock
-	// ForbidFor is the divergence-guard penalty duration.
-	ForbidFor time.Duration
 	// PinPackets is the incompressible-guard pin length in packets.
 	PinPackets int
-	// MinGainRatio is the incompressible-guard ratio threshold.
-	MinGainRatio float64
 	// EWMAAlpha weights new per-level bandwidth samples.
 	EWMAAlpha float64
 	// Codecs restricts levels to those whose codec both endpoints can run
@@ -133,17 +129,12 @@ type Config struct {
 	// DisableDivergenceGuard turns off the per-level bandwidth
 	// comparison (for the ablation experiment).
 	DisableDivergenceGuard bool
-	// DisableIncompressibleGuard turns off ratio pinning (ablation).
-	DisableIncompressibleGuard bool
-	// OnLevelChange, if set, is invoked (without the controller lock
-	// held by the caller's goroutine only) whenever the level changes.
-	OnLevelChange func(old, new codec.Level)
-	// OnDivergence, if set, is invoked when the divergence guard demotes
-	// a level.
+	// OnDivergence, if set, is invoked whenever the divergence guard
+	// demotes a candidate level, also when the level ends where it was.
 	OnDivergence func(from, to codec.Level)
 	// OnTransition, if set, is invoked for every level change with the
 	// stage that caused it — the feed for adaptive-trace ring buffers.
-	// Fired after OnDivergence/OnLevelChange, without the controller lock.
+	// Fired after OnDivergence, without the controller lock.
 	OnTransition func(Transition)
 	// Metrics names the registry this controller's counters publish to;
 	// nil keeps them detached (per-controller only, rendered nowhere).
@@ -154,14 +145,8 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = clock.System
 	}
-	if c.ForbidFor == 0 {
-		c.ForbidFor = DefaultForbidFor
-	}
 	if c.PinPackets == 0 {
 		c.PinPackets = DefaultPinPackets
-	}
-	if c.MinGainRatio == 0 {
-		c.MinGainRatio = DefaultMinGainRatio
 	}
 	if c.EWMAAlpha == 0 {
 		c.EWMAAlpha = DefaultEWMAAlpha
@@ -312,7 +297,7 @@ func (c *Controller) LevelForNextBuffer(queueLen int) codec.Level {
 	// Divergence guard (paper §5 "Compression level divergence"): if some
 	// smaller level has delivered strictly better visible bandwidth than
 	// the candidate, fall back to the best smaller level and forbid the
-	// candidate for ForbidFor.
+	// candidate for DefaultForbidFor.
 	var demotedFrom, demotedTo codec.Level
 	demoted := false
 	if !c.cfg.DisableDivergenceGuard && c.bw[next].seen {
@@ -323,7 +308,7 @@ func (c *Controller) LevelForNextBuffer(queueLen int) codec.Level {
 			}
 		}
 		if best != next {
-			c.forbidden[next] = now.Add(c.cfg.ForbidFor)
+			c.forbidden[next] = now.Add(DefaultForbidFor)
 			demotedFrom, demotedTo = next, best
 			demoted = true
 			cause = CauseDivergence
@@ -353,13 +338,8 @@ func (c *Controller) LevelForNextBuffer(queueLen int) codec.Level {
 	if demoted && c.cfg.OnDivergence != nil {
 		c.cfg.OnDivergence(demotedFrom, demotedTo)
 	}
-	if next != old {
-		if c.cfg.OnLevelChange != nil {
-			c.cfg.OnLevelChange(old, next)
-		}
-		if c.cfg.OnTransition != nil {
-			c.cfg.OnTransition(Transition{At: now, From: old, To: next, Cause: cause})
-		}
+	if next != old && c.cfg.OnTransition != nil {
+		c.cfg.OnTransition(Transition{At: now, From: old, To: next, Cause: cause})
 	}
 	return next
 }
@@ -386,15 +366,16 @@ func (c *Controller) RecordDelivery(level codec.Level, rawBytes int, d time.Dura
 
 // NotePacketRatio feeds the incompressible-data guard: a packet carrying
 // rawLen bytes of user data was emitted as compLen wire bytes at the given
-// level. When the gain falls below MinGainRatio the level is pinned to the
-// minimum for the next PinPackets packets. It reports whether compression
-// of the remaining buffer should be abandoned (paper: "we stop compressing
-// the remaining of the buffer").
+// level. When the gain falls below DefaultMinGainRatio the level is pinned
+// to the minimum for the next PinPackets packets. It reports whether
+// compression of the remaining buffer should be abandoned (paper: "we stop
+// compressing the remaining of the buffer"). Raw (level 0) and empty
+// packets never trigger it.
 func (c *Controller) NotePacketRatio(level codec.Level, rawLen, compLen int) (abandonBuffer bool) {
-	if c.cfg.DisableIncompressibleGuard || level == codec.MinLevel || rawLen == 0 {
+	if level == codec.MinLevel || rawLen == 0 {
 		return false
 	}
-	if codec.Ratio(rawLen, compLen) >= c.cfg.MinGainRatio {
+	if codec.Ratio(rawLen, compLen) >= DefaultMinGainRatio {
 		return false
 	}
 	c.mu.Lock()

@@ -232,10 +232,19 @@ func TestIncompressibleGuardGoodRatioNoPin(t *testing.T) {
 	}
 }
 
+// TestIncompressibleGuardDisabled: the guard stays off where a ratio
+// means nothing — raw level-0 packets, which never shrink, and empty
+// packets.
 func TestIncompressibleGuardDisabled(t *testing.T) {
-	c := New(Config{Min: 0, Max: 10, Clock: clock.NewManual(time.Unix(0, 0)), DisableIncompressibleGuard: true})
-	if c.NotePacketRatio(3, 8192, 8192) {
-		t.Fatal("disabled guard still triggered")
+	c := newTestController(clock.NewManual(time.Unix(0, 0)))
+	if c.NotePacketRatio(codec.MinLevel, 8192, 8192) {
+		t.Fatal("guard triggered on a raw level-0 packet")
+	}
+	if c.NotePacketRatio(3, 0, 0) {
+		t.Fatal("guard triggered on an empty packet")
+	}
+	if st := c.Stats(); st.Pins != 0 {
+		t.Fatalf("Pins = %d, want 0", st.Pins)
 	}
 }
 

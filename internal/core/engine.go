@@ -51,10 +51,6 @@ type Engine struct {
 	curMu    sync.Mutex
 	cur      *streamState // in-progress stream message, if any
 
-	// pool executes this engine's compression/decompression jobs; shared
-	// process-wide unless Options.SharedPool named another.
-	pool *WorkerPool
-
 	// sendTC is the flow-trace context of the in-progress write; written
 	// at the top of every write while wmu is held, so the send pipeline
 	// (which outlives no single write — writeMessage joins its emitter
@@ -275,7 +271,7 @@ func (s *Stats) Accumulate(o Stats) {
 
 // New wraps a bidirectional connection in an AdOC engine.
 func New(rw io.ReadWriter, opts Options) (*Engine, error) {
-	opts, err := opts.Sanitized()
+	opts, err := opts.Effective()
 	if err != nil {
 		return nil, err
 	}
@@ -296,20 +292,14 @@ func New(rw io.ReadWriter, opts Options) (*Engine, error) {
 			}
 		}
 	}
-	pool := opts.SharedPool
-	if pool == nil {
-		pool = DefaultWorkerPool()
-	}
-	pool.RegisterMetrics(reg)
+	defaultPool.RegisterMetrics(reg)
 	bufpool.Default.RegisterMetrics(reg)
 	e := &Engine{
 		rw:     rw,
 		opts:   opts,
 		dec:    wire.NewReader(rw),
-		pool:   pool,
 		stats:  bindEngineStats(reg),
 		events: reg.Events(),
-		link:   linkEstimate{minBytes: opts.ProbeSize},
 	}
 	// The engine observes its own transitions (last-transition snapshot
 	// for /debug/conns, adapt event on the bus) in front of the chain
@@ -322,17 +312,13 @@ func New(rw io.ReadWriter, opts Options) (*Engine, error) {
 		}
 	}
 	e.ctrl = adapt.New(adapt.Config{
-		Min:                        opts.MinLevel,
-		Max:                        opts.MaxLevel,
-		Codecs:                     opts.Codecs,
-		Clock:                      opts.Clock,
-		ForbidFor:                  opts.ForbidFor,
-		DisableDivergenceGuard:     opts.DisableDivergenceGuard,
-		DisableIncompressibleGuard: opts.DisableIncompressibleGuard,
-		OnLevelChange:              opts.Trace.OnLevelChange,
-		OnDivergence:               opts.Trace.OnDivergence,
-		OnTransition:               onTransition,
-		Metrics:                    reg,
+		Min:          opts.MinLevel,
+		Max:          opts.MaxLevel,
+		Codecs:       opts.Codecs,
+		Clock:        opts.Clock,
+		OnDivergence: opts.Trace.OnDivergence,
+		OnTransition: onTransition,
+		Metrics:      reg,
 	})
 	// Register in the connection table after ctrl exists: the fill
 	// callback snapshots the controller on every /debug/conns request.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"adoc/internal/adapt"
 	"adoc/internal/codec"
 )
 
@@ -136,7 +137,12 @@ func TestTraceCallbacksFire(t *testing.T) {
 	o := smallPipelineOptions()
 	var groups, levelChanges int
 	o.Trace.OnGroupSent = func(level codec.Level, rawLen, wireLen, queueLen int) { groups++ }
-	o.Trace.OnLevelChange = func(old, new codec.Level) { levelChanges++ }
+	o.Trace.OnTransition = func(tr adapt.Transition) {
+		if tr.From == tr.To {
+			t.Errorf("transition %d -> %d does not change the level", tr.From, tr.To)
+		}
+		levelChanges++
+	}
 	e1, e2 := pipePair(t, o)
 	data := compressibleData(120 * 1024)
 	done := make(chan error, 1)
@@ -155,7 +161,7 @@ func TestTraceCallbacksFire(t *testing.T) {
 		t.Fatal("OnGroupSent never fired")
 	}
 	if levelChanges == 0 {
-		t.Fatal("OnLevelChange never fired on a compressible pipeline transfer")
+		t.Fatal("OnTransition never fired on a compressible pipeline transfer")
 	}
 }
 
@@ -245,35 +251,11 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func TestQueueCapacityOne(t *testing.T) {
-	// Degenerate FIFO capacity must still make progress.
-	o := smallPipelineOptions()
-	o.QueueCapacity = 1
-	e1, e2 := pipePair(t, o)
-	data := compressibleData(64 * 1024)
-	done := make(chan error, 1)
-	go func() {
-		_, err := e1.WriteMessage(data)
-		done <- err
-	}()
-	got := make([]byte, len(data))
-	if _, err := io.ReadFull(e2, got); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("capacity-1 roundtrip mismatch")
-	}
-}
-
 func TestTinyBufferAndPacketSizes(t *testing.T) {
 	o := DefaultOptions()
 	o.PacketSize = 64
 	o.BufferSize = 256
 	o.SmallThreshold = 128
-	o.FlushInterval = 64
 	o.DisableProbe = true
 	e1, e2 := pipePair(t, o)
 	data := compressibleData(10 * 1024)

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"adoc/internal/clock"
 	"adoc/internal/codec"
 	"adoc/internal/wire"
 )
@@ -44,7 +46,6 @@ func smallPipelineOptions() Options {
 	o.SmallThreshold = 4 * 1024
 	o.BufferSize = 8 * 1024
 	o.PacketSize = 1024
-	o.FlushInterval = 2 * 1024
 	o.DisableProbe = true
 	return o
 }
@@ -361,8 +362,9 @@ func TestProbeBypassOnFastLink(t *testing.T) {
 	o := DefaultOptions()
 	// net.Pipe is memory-speed but the race detector can slow it below
 	// the paper's 500 Mbit/s; the behaviour under test is the bypass
-	// mechanism, so use a cutoff any in-memory link clears.
-	o.FastCutoffBps = 1e6
+	// mechanism, so a frozen clock makes every Write take no time and
+	// the link read faster than any cutoff.
+	o.Clock = clock.NewManual(time.Unix(0, 0))
 	probed := false
 	bypassed := false
 	o.Trace.OnProbe = func(bps float64, bypass bool) { probed, bypassed = true, bypass }
@@ -660,36 +662,28 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestOptionsSanitize(t *testing.T) {
 	var o Options // all zero
-	s, err := o.Sanitized()
+	s, err := o.Effective()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.PacketSize != DefaultPacketSize || s.BufferSize != DefaultBufferSize {
+	if s.PacketSize != DefaultPacketSize || s.BufferSize != DefaultBufferSize || s.SmallThreshold != DefaultSmallThreshold {
 		t.Fatalf("defaults not applied: %+v", s)
 	}
 	bad := DefaultOptions()
 	bad.MinLevel = 7
 	bad.MaxLevel = 3
-	if _, err := bad.Sanitized(); err == nil {
+	if _, err := bad.Effective(); err == nil {
 		t.Fatal("min>max accepted")
 	}
 	tiny := DefaultOptions()
 	tiny.BufferSize = 100
 	tiny.PacketSize = 1000
-	s, err = tiny.Sanitized()
+	s, err = tiny.Effective()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.BufferSize < s.PacketSize {
 		t.Fatal("BufferSize not raised to PacketSize")
-	}
-	huge := DefaultOptions()
-	huge.ProbeSize = 2 * wire.MaxGroupRaw
-	if s, err = huge.Sanitized(); err != nil {
-		t.Fatal(err)
-	}
-	if s.ProbeSize != wire.MaxGroupRaw {
-		t.Fatalf("ProbeSize %d kept above the largest group, want %d", s.ProbeSize, wire.MaxGroupRaw)
 	}
 
 	// Codec-set resolution of the level bounds: the top clamps down to
@@ -698,7 +692,7 @@ func TestOptionsSanitize(t *testing.T) {
 	// excludes.
 	lzfOnly := DefaultOptions()
 	lzfOnly.Codecs = codec.MaskRaw | codec.MaskLZF
-	s, err = lzfOnly.Sanitized()
+	s, err = lzfOnly.Effective()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,7 +702,7 @@ func TestOptionsSanitize(t *testing.T) {
 	holeAtMin := DefaultOptions()
 	holeAtMin.MinLevel = 1 // forces compression, but LZF is missing
 	holeAtMin.Codecs = codec.MaskRaw | codec.MaskDeflate
-	s, err = holeAtMin.Sanitized()
+	s, err = holeAtMin.Effective()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -718,7 +712,7 @@ func TestOptionsSanitize(t *testing.T) {
 	impossible := DefaultOptions()
 	impossible.MinLevel = 2
 	impossible.Codecs = codec.MaskRaw | codec.MaskLZF
-	if _, err := impossible.Sanitized(); err == nil {
+	if _, err := impossible.Effective(); err == nil {
 		t.Fatal("forced DEFLATE minimum accepted without the DEFLATE codec")
 	}
 }

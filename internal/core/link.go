@@ -16,17 +16,17 @@ const linkWeight = 0.25
 // the direct raw-group writes feed it every Write they make.
 //
 // A sample runs from the start of its first Write to the end of the Write
-// that brings it to minBytes (ProbeSize) wire bytes of one message. Time
+// that brings it to DefaultProbeSize wire bytes of one message. Time
 // the writer spends between Writes waiting for its producer (the
 // compression pool, or the source on the raw bypass) counts against the
 // link, so a producer-bound sample under-reads it: errors land on the
 // adaptive side. Idle time between messages would count the same way,
 // so startMessage drops the open sample and no sample spans two
 // messages. A socket buffer that absorbs a short burst without blocking
-// cannot make a slow link look fast: a message shorter than ProbeSize
-// closes no sample, and a buffer of up to half of ProbeSize can at most
-// double the first sample of a message; later samples of the message
-// find it full.
+// cannot make a slow link look fast: a message shorter than
+// DefaultProbeSize closes no sample, and a buffer of up to half of it can
+// at most double the first sample of a message; later samples of the
+// message find it full.
 //
 // Closed samples fold into a moving average of seconds per byte rather
 // than bytes per second: one slow sample pulls a fast estimate down at
@@ -36,11 +36,10 @@ const linkWeight = 0.25
 // wmu (the writer, or the emitter it waits for); bps is published
 // atomically for readers that do not hold wmu, such as /debug/conns.
 type linkEstimate struct {
-	minBytes int
-	bytes    int
-	start    time.Time // start of the open sample's first Write
-	secPerB  float64   // moving average; 0 until the first sample closes
-	bps      atomic.Uint64
+	bytes   int
+	start   time.Time // start of the open sample's first Write
+	secPerB float64   // moving average; 0 until the first sample closes
+	bps     atomic.Uint64
 }
 
 // add records one Write of n wire bytes that ran from start to end.
@@ -49,7 +48,7 @@ func (l *linkEstimate) add(n int, start, end time.Time) {
 		l.start = start
 	}
 	l.bytes += n
-	if l.bytes < l.minBytes {
+	if l.bytes < DefaultProbeSize {
 		return
 	}
 	s := maxSeconds(end.Sub(l.start)) / float64(l.bytes)

@@ -114,7 +114,7 @@ func TestLinkEstimateFastLinkProbesOnce(t *testing.T) {
 // the head of every message, so short messages would add up to samples of
 // absorbed bytes alone were a sample allowed to span messages. Both a
 // compressible and an incompressible payload are sent; the latter puts
-// its whole size on the wire, so every message of ProbeSize or more
+// its whole size on the wire, so every message of DefaultProbeSize or more
 // closes samples.
 func TestLinkEstimateSlowLinkNeverLooksFast(t *testing.T) {
 	// A long run of short messages first, so they would be all an
@@ -145,7 +145,7 @@ func TestLinkEstimateSlowLinkNeverLooksFast(t *testing.T) {
 								i, n>>10, e.link.Bps())
 						}
 					}
-					if bps := e.link.Bps(); bps == 0 || bps > e.opts.FastCutoffBps {
+					if bps := e.link.Bps(); bps == 0 || bps > DefaultFastCutoffBps {
 						t.Fatalf("link estimate %.3g B/s after %d messages on a 1 MB/s link", bps, len(sizes))
 					}
 				})
@@ -196,7 +196,7 @@ func TestLinkEstimateProducerBoundNeverLooksFast(t *testing.T) {
 			t.Fatalf("message %d bypassed compression on a 12.5 MB/s link (estimate %.3g B/s)", i, e.link.Bps())
 		}
 	}
-	if bps := e.link.Bps(); bps == 0 || bps > e.opts.FastCutoffBps {
+	if bps := e.link.Bps(); bps == 0 || bps > DefaultFastCutoffBps {
 		t.Fatalf("link estimate %.3g B/s after 12 producer-bound messages on a 12.5 MB/s link", bps)
 	}
 }

@@ -13,16 +13,16 @@ package core
 import (
 	"log/slog"
 	"runtime"
-	"time"
 
 	"adoc/internal/adapt"
 	"adoc/internal/clock"
 	"adoc/internal/codec"
 	"adoc/internal/obs"
-	"adoc/internal/wire"
 )
 
-// Paper constants (§3.2, §5).
+// Paper constants (§3.2, §5). PacketSize, BufferSize and SmallThreshold
+// are the defaults of the Options fields of those names; the rest are
+// fixed.
 const (
 	// DefaultPacketSize is the FIFO packet size: "the size of a packet is
 	// 8KB".
@@ -37,16 +37,18 @@ const (
 	// DefaultProbeSize is the bandwidth-measurement size: "we measure
 	// the time to transmit a part of the data (256 KB) without
 	// compression". Here it is the wire bytes one link-estimate sample
-	// must cover, and the raw prefix a message above 512 KB sends while
-	// its connection has no estimate yet.
+	// must cover, and the raw prefix a message of at least twice this
+	// size sends while its connection has no estimate yet.
 	DefaultProbeSize = 256 * 1024
 	// DefaultFastCutoffBps is the fast-network threshold: "If this speed
 	// is above 500 Mb/s ... we send the remaining data uncompressed",
-	// compared with the connection's link estimate.
+	// compared with the connection's link estimate. Only a message whose
+	// minimum level is 0 takes this raw bypass.
 	DefaultFastCutoffBps = 500e6 / 8
-	// DefaultQueueCapacity bounds the emission FIFO in packets. The paper
-	// leaves the queue unbounded; 256 packets (2 MB) is far above the
-	// n>=30 "very large" band, so the control law never sees the bound.
+	// DefaultQueueCapacity bounds the emission FIFO (and the receive
+	// frame queue) in packets. The paper leaves the queue unbounded; 256
+	// packets (2 MB) is far above the n>=30 "very large" band, so the
+	// control law never sees the bound.
 	DefaultQueueCapacity = 256
 	// DefaultFlushInterval is how much raw data is fed to a streaming
 	// compressor between flushes — the granularity at which compressed
@@ -75,14 +77,15 @@ func DefaultParallelism() int {
 // Trace receives engine events; any field may be nil. Used by the examples
 // to visualize adaptation and by tests to observe internals.
 type Trace struct {
-	// OnLevelChange fires when the controller moves the level.
-	OnLevelChange func(old, new codec.Level)
-	// OnDivergence fires when the divergence guard demotes a level.
+	// OnDivergence fires whenever the divergence guard demotes a
+	// candidate level, also when the level ends where it was (no
+	// OnTransition then).
 	OnDivergence func(from, to codec.Level)
 	// OnProbe fires after a message sent a probe prefix (only until the
 	// connection has a link estimate) with the estimate in bytes per
-	// second (0 while its first sample is still short of ProbeSize) and
-	// whether the rest of the message takes the raw bypass.
+	// second (0 while its first sample is still short of
+	// DefaultProbeSize) and whether the rest of the message takes the raw
+	// bypass.
 	OnProbe func(bps float64, bypass bool)
 	// OnGroupSent fires after a buffer group fully left the socket:
 	// compression level, raw payload size, bytes on the wire, and the
@@ -94,32 +97,22 @@ type Trace struct {
 	OnTransition func(adapt.Transition)
 }
 
-// Options configures an Engine. Use DefaultOptions as the base; the zero
-// value is not valid.
+// Options configures an Engine. A zero size selects the paper's default
+// (8 KB packets, 200 KB buffers, 512 KB small-message threshold); the
+// level bounds are taken as given, so the zero value runs with
+// compression off. DefaultOptions has the full adaptive range.
 type Options struct {
-	// MinLevel and MaxLevel bound the adaptive level (Min > 0 forces
-	// compression, Max == 0 disables it).
+	// MinLevel and MaxLevel bound the adaptive level: MinLevel > 0 forces
+	// compression, MaxLevel == 0 disables it.
 	MinLevel, MaxLevel codec.Level
-	// PacketSize is the FIFO packet payload size in bytes.
+	// PacketSize is the FIFO packet payload size in bytes (default 8 KB).
 	PacketSize int
-	// BufferSize is the compression/adaptation unit in bytes.
+	// BufferSize is the compression/adaptation unit in bytes (default
+	// 200 KB).
 	BufferSize int
-	// SmallThreshold is the size under which messages are sent raw with
-	// no pipeline.
+	// SmallThreshold is the size under which messages with MinLevel 0
+	// are sent raw with no pipeline (default 512 KB).
 	SmallThreshold int
-	// ProbeSize is how many wire bytes of one message a sample of the
-	// link estimate must cover before it counts, and the uncompressed
-	// prefix a message of at least twice that size sends to measure the
-	// link while the connection has no estimate (at most wire.MaxGroupRaw).
-	ProbeSize int
-	// FastCutoffBps sends a message uncompressed on the writer's thread
-	// (the raw bypass) when the link estimate exceeds this many bytes
-	// per second and the message's minimum level is 0.
-	FastCutoffBps float64
-	// QueueCapacity bounds the emission FIFO (in packets).
-	QueueCapacity int
-	// FlushInterval is the raw-byte granularity of streaming compression.
-	FlushInterval int
 	// Parallelism is this engine's in-flight window: how many adaptation
 	// buffers (or receive groups) it may have submitted to the shared
 	// worker pool at once; 0 selects DefaultParallelism(). Every setting
@@ -128,40 +121,31 @@ type Options struct {
 	// controller's occupancy signal counts each submitted buffer not yet
 	// in the emission FIFO at its raw size in packets, so adaptation does
 	// not depend on the window. Actual CPU concurrency is bounded by the
-	// worker pool's size, shared across all engines.
+	// process-wide worker pool, sized to GOMAXPROCS and shared by all
+	// engines.
 	Parallelism int
-	// SharedPool is the worker pool this engine submits its parallel
-	// compression/decompression jobs to; nil selects the process-wide
-	// DefaultWorkerPool. Engines on any number of connections may share
-	// one pool — jobs never block on other jobs, so a fixed worker count
-	// cannot deadlock.
-	SharedPool *WorkerPool
 	// Codecs restricts the levels the controller may pick to those whose
 	// codec is in the set — the handshake-negotiated capability mask. Zero
-	// means every codec in the default registry. The effective MaxLevel is
-	// clamped to the highest level the set can serve.
+	// means every codec in the default registry. Raw copy is always
+	// included, and the effective MaxLevel is clamped to the highest
+	// level the set can serve.
 	Codecs codec.Mask
 	// DisableEntropyBypass turns off the per-buffer incompressibility
-	// probe, restoring the always-compress-then-notice behavior (ablation,
-	// and the baseline the bypass is benchmarked against).
+	// probe that ships high-entropy buffers raw without compressing them,
+	// restoring the always-compress-then-notice behavior (ablation, and
+	// the baseline the bypass is benchmarked against).
 	DisableEntropyBypass bool
 	// DisableProbe never takes the raw bypass and never sends a probe
 	// prefix: every stream message adapts (ablation). The link estimate
 	// is still measured and published.
 	DisableProbe bool
-	// DisableDivergenceGuard and DisableIncompressibleGuard pass through
-	// to the controller (ablations).
-	DisableDivergenceGuard     bool
-	DisableIncompressibleGuard bool
-	// ForbidFor overrides the divergence-guard penalty (default 1s).
-	ForbidFor time.Duration
 	// Clock supplies time; nil means the system clock.
 	Clock clock.Clock
 	// Trace receives engine events.
 	Trace Trace
 	// Metrics is the registry this engine (and its controller, worker
 	// pool, and buffer pool) publishes to; nil selects the process-wide
-	// obs.Default(). It binds per stack exactly the way SharedPool does.
+	// obs.Default().
 	Metrics *obs.Registry
 	// FlowTracer records sampled pipeline stage spans (enqueue, queue,
 	// compress, wire, receive, decompress, deliver) for messages written
@@ -175,7 +159,8 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// DefaultOptions returns the paper's configuration.
+// DefaultOptions returns the paper's configuration with the full adaptive
+// range [0, 10].
 func DefaultOptions() Options {
 	return Options{
 		MinLevel:       codec.MinLevel,
@@ -183,51 +168,30 @@ func DefaultOptions() Options {
 		PacketSize:     DefaultPacketSize,
 		BufferSize:     DefaultBufferSize,
 		SmallThreshold: DefaultSmallThreshold,
-		ProbeSize:      DefaultProbeSize,
-		FastCutoffBps:  DefaultFastCutoffBps,
-		QueueCapacity:  DefaultQueueCapacity,
-		FlushInterval:  DefaultFlushInterval,
-		Parallelism:    DefaultParallelism(),
-		Clock:          clock.System,
 	}
 }
 
-// Sanitized returns o with zero fields filled from the defaults and the
+// Effective returns o with zero fields filled from the defaults and the
 // rest validated — the configuration an Engine built from o actually
-// runs. Exported so the transport layer can compute its handshake offer
-// from the same resolution the engine applies, with no second copy of
-// these rules to drift.
-func (o Options) Sanitized() (Options, error) {
-	d := DefaultOptions()
+// runs. Level bounds pass through as given (a zero MaxLevel really does
+// mean compression off) and invalid bounds return the error New would.
+// The transport layer computes its handshake offer from this same
+// resolution, so there is no second copy of these rules to drift.
+func (o Options) Effective() (Options, error) {
 	if o.PacketSize <= 0 {
-		o.PacketSize = d.PacketSize
+		o.PacketSize = DefaultPacketSize
 	}
 	if o.BufferSize <= 0 {
-		o.BufferSize = d.BufferSize
+		o.BufferSize = DefaultBufferSize
 	}
-	if o.SmallThreshold < 0 {
-		o.SmallThreshold = d.SmallThreshold
-	}
-	if o.ProbeSize <= 0 {
-		o.ProbeSize = d.ProbeSize
-	}
-	// The probe prefix is one group, so it cannot exceed the largest group
-	// a decoder accepts.
-	o.ProbeSize = min(o.ProbeSize, wire.MaxGroupRaw)
-	if o.FastCutoffBps <= 0 {
-		o.FastCutoffBps = d.FastCutoffBps
-	}
-	if o.QueueCapacity <= 0 {
-		o.QueueCapacity = d.QueueCapacity
-	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = d.FlushInterval
+	if o.SmallThreshold <= 0 {
+		o.SmallThreshold = DefaultSmallThreshold
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = DefaultParallelism()
 	}
 	if o.Clock == nil {
-		o.Clock = d.Clock
+		o.Clock = clock.System
 	}
 	if !o.MinLevel.Valid() || !o.MaxLevel.Valid() || o.MinLevel > o.MaxLevel {
 		return o, codec.ErrBadLevel

@@ -99,7 +99,7 @@ func (e *Engine) sendPipeline(src io.Reader, remaining int64) (delivered, wireBy
 	}
 	tc := e.sendTC
 	tr := e.opts.FlowTracer
-	q := fifo.New[segment](e.opts.QueueCapacity)
+	q := fifo.New[segment](DefaultQueueCapacity)
 	res := make(chan emitResult, 1)
 	go e.runEmitter(q, res, tc)
 
@@ -179,7 +179,7 @@ func (e *Engine) sendPipeline(src io.Reader, remaining int64) (delivered, wireBy
 			}
 			backlog.Add(e.rawPackets(n))
 			data := buf[:n]
-			e.pool.Submit(func() { e.compressJob(buf, data, level, rc, tc, submitAt) })
+			defaultPool.Submit(func() { e.compressJob(buf, data, level, rc, tc, submitAt) })
 			if remaining > 0 {
 				remaining -= int64(n)
 			}
@@ -329,9 +329,9 @@ func (e *Engine) runDecodePipeline(st *streamState) {
 			rc := make(chan decResult, 1)
 			order <- rc
 			if e.opts.FlowTracer.Enabled() {
-				e.pool.Submit(func() { rc <- e.decodeGroupTraced(grp) })
+				defaultPool.Submit(func() { rc <- e.decodeGroupTraced(grp) })
 			} else {
-				e.pool.Submit(func() { rc <- e.decodeGroup(grp) })
+				defaultPool.Submit(func() { rc <- e.decodeGroup(grp) })
 			}
 		}
 	}

@@ -295,7 +295,7 @@ func TestParallelCloseUnblocks(t *testing.T) {
 // TestParallelismSanitize checks the option defaulting contract.
 func TestParallelismSanitize(t *testing.T) {
 	var o Options
-	s, err := o.Sanitized()
+	s, err := o.Effective()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestParallelismSanitize(t *testing.T) {
 		t.Fatalf("DefaultParallelism() = %d out of [1, %d]", d, MaxDefaultParallelism)
 	}
 	o.Parallelism = 7
-	if s, err = o.Sanitized(); err != nil || s.Parallelism != 7 {
+	if s, err = o.Effective(); err != nil || s.Parallelism != 7 {
 		t.Fatalf("explicit Parallelism not preserved: %d %v", s.Parallelism, err)
 	}
 }
@@ -323,15 +323,15 @@ func TestReceiveMessageErrorReleasesPipeline(t *testing.T) {
 	}
 	o := DefaultOptions()
 	o.Parallelism = 4
-	o.QueueCapacity = 4 // small, so a leaked reception loop blocks fast
 
 	var msg []byte
 	msg = wire.AppendStreamHeader(msg, wire.UnknownTotal)
 	msg = wire.AppendGroupBegin(msg, used)
 	msg = wire.AppendPacket(msg, blk)
 	msg = wire.AppendGroupEnd(msg, len(raw), 0xBAD) // corrupt checksum
-	// Far more frames than QueueCapacity behind the corrupt group.
-	for i := 0; i < 64; i++ {
+	// More frames than the receive queue holds behind the corrupt group,
+	// so a leaked reception loop blocks.
+	for i := 0; i < DefaultQueueCapacity; i++ {
 		msg = wire.AppendGroupBegin(msg, used)
 		msg = wire.AppendPacket(msg, blk)
 		msg = wire.AppendGroupEnd(msg, len(raw), adler32.Checksum(raw))

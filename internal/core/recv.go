@@ -107,7 +107,7 @@ func (st *streamState) abort(err error) {
 func (e *Engine) startStream() *streamState {
 	e.resetRecvTrace()
 	st := &streamState{
-		frames:  fifo.New[recvFrame](e.opts.QueueCapacity),
+		frames:  fifo.New[recvFrame](DefaultQueueCapacity),
 		decoded: fifo.New[decResult](2 * e.opts.Parallelism),
 	}
 	go e.runDecodePipeline(st)

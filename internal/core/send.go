@@ -187,11 +187,12 @@ func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (d
 	remaining := size // < 0 when unknown
 
 	// Fast-link rule (paper §5 "Fast Networks"), for messages adaptation
-	// may send at level 0: above FastCutoffBps the rest goes out raw on
-	// this thread. The decision reads the connection's link estimate. Until
-	// it has one, a message of at least twice ProbeSize (or of unknown
-	// size) first sends ProbeSize bytes raw to measure the link, as the
-	// paper probes 256 KB of messages above 512 KB; shorter messages adapt
+	// may send at level 0: above DefaultFastCutoffBps the rest goes out
+	// raw on this thread. The decision reads the connection's link
+	// estimate. Until it has one, a message of at least twice
+	// DefaultProbeSize (or of unknown size) first sends DefaultProbeSize
+	// bytes raw to measure the link, as the paper probes 256 KB of
+	// messages above 512 KB; shorter messages adapt
 	// and feed the estimate from the emitter. The emitter alone cannot
 	// seed it for compressible data: on a fast link the controller still
 	// compresses such a message, so its samples time the compressor, not
@@ -199,8 +200,8 @@ func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (d
 	bypass := false
 	if min == codec.MinLevel && !e.opts.DisableProbe {
 		probed := false
-		if e.link.Bps() == 0 && (size < 0 || size >= 2*int64(e.opts.ProbeSize)) {
-			probeBuf := bufpool.Get(e.opts.ProbeSize)
+		if e.link.Bps() == 0 && (size < 0 || size >= 2*DefaultProbeSize) {
+			probeBuf := bufpool.Get(DefaultProbeSize)
 			defer bufpool.Put(probeBuf)
 			n, rerr := io.ReadFull(src, probeBuf)
 			if rerr != nil && rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
@@ -225,7 +226,7 @@ func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (d
 				remaining = 0
 			}
 		}
-		bypass = e.link.Bps() > e.opts.FastCutoffBps
+		bypass = e.link.Bps() > DefaultFastCutoffBps
 		if probed && e.opts.Trace.OnProbe != nil {
 			e.opts.Trace.OnProbe(e.link.Bps(), bypass)
 		}
@@ -481,10 +482,7 @@ func (e *Engine) pushFlateGroup(dst *segList, level codec.Level, chunk []byte) e
 	fed := 0
 	aborted := false
 	for fed < len(chunk) {
-		step := e.opts.FlushInterval
-		if fed+step > len(chunk) {
-			step = len(chunk) - fed
-		}
+		step := min(DefaultFlushInterval, len(chunk)-fed)
 		before := p.total
 		if _, err := sw.Write(chunk[fed : fed+step]); err != nil {
 			sw.Close()

@@ -30,9 +30,9 @@ type WorkerPool struct {
 	submitted atomic.Int64
 }
 
-// NewWorkerPool returns a pool of size workers; size <= 0 selects
+// newWorkerPool returns a pool of size workers; size <= 0 selects
 // GOMAXPROCS. The workers are not started until the first Submit.
-func NewWorkerPool(size int) *WorkerPool {
+func newWorkerPool(size int) *WorkerPool {
 	if size <= 0 {
 		size = runtime.GOMAXPROCS(0)
 	}
@@ -89,8 +89,8 @@ const (
 
 // RegisterMetrics publishes the pool's health on reg as callback-backed
 // series. Idempotent: re-registering re-points the callbacks, so the last
-// pool bound to a registry is the one rendered — in practice each registry
-// serves one pool, the way each stack shares one SharedPool.
+// pool bound to a registry is the one rendered — in practice the
+// process-wide pool.
 func (p *WorkerPool) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc(MetricPoolWorkers, "Compression worker count.",
 		func() float64 { return float64(p.Size()) })
@@ -100,9 +100,8 @@ func (p *WorkerPool) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(p.Submitted()) })
 }
 
-// defaultPool is the process-wide pool engines share when their Options
-// name no other.
-var defaultPool = NewWorkerPool(0)
+// defaultPool is the process-wide pool every engine submits to.
+var defaultPool = newWorkerPool(0)
 
 // DefaultWorkerPool returns the process-wide shared pool.
 func DefaultWorkerPool() *WorkerPool { return defaultPool }

@@ -10,10 +10,10 @@ import (
 // TestWorkerPoolSize pins the sizing rule: explicit sizes pass through,
 // non-positive selects GOMAXPROCS.
 func TestWorkerPoolSize(t *testing.T) {
-	if s := NewWorkerPool(3).Size(); s != 3 {
+	if s := newWorkerPool(3).Size(); s != 3 {
 		t.Errorf("Size() = %d, want 3", s)
 	}
-	if s := NewWorkerPool(0).Size(); s != runtime.GOMAXPROCS(0) {
+	if s := newWorkerPool(0).Size(); s != runtime.GOMAXPROCS(0) {
 		t.Errorf("Size() = %d, want GOMAXPROCS %d", s, runtime.GOMAXPROCS(0))
 	}
 	if DefaultWorkerPool() == nil || DefaultWorkerPool() != DefaultWorkerPool() {
@@ -25,7 +25,7 @@ func TestWorkerPoolSize(t *testing.T) {
 // goroutines — far more in-flight submitters than workers, the C100k
 // shape — and requires every job to run exactly once.
 func TestWorkerPoolRunsEverySubmission(t *testing.T) {
-	p := NewWorkerPool(2)
+	p := newWorkerPool(2)
 	const submitters, perSubmitter = 16, 100
 	var ran atomic.Int64
 	var wg sync.WaitGroup
@@ -54,23 +54,22 @@ func TestWorkerPoolRunsEverySubmission(t *testing.T) {
 // the workers must not exist until the first Submit.
 func TestWorkerPoolLazyStart(t *testing.T) {
 	before := runtime.NumGoroutine()
-	p := NewWorkerPool(8)
+	p := newWorkerPool(8)
 	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("NewWorkerPool spawned %d goroutines before any Submit", n-before)
+		t.Fatalf("newWorkerPool spawned %d goroutines before any Submit", n-before)
 	}
 	done := make(chan struct{})
 	p.Submit(func() { close(done) })
 	<-done
 }
 
-// TestEnginesShareOnePool sends concurrently over many engines bound to
-// one explicitly shared pool and checks the transfers stay intact —
-// in-order reassembly must hold when unrelated connections' jobs
-// interleave on the same workers.
+// TestEnginesShareOnePool sends concurrently over many engines, which
+// all submit to the one process-wide pool, and checks the transfers stay
+// intact — in-order reassembly must hold when unrelated connections'
+// jobs interleave on the same workers.
 func TestEnginesShareOnePool(t *testing.T) {
-	pool := NewWorkerPool(2)
 	o := parallelOptions(4)
-	o.SharedPool = pool
+	before := DefaultWorkerPool().Submitted()
 
 	const conns = 8
 	want := compressibleData(64 * 1024)
@@ -80,10 +79,6 @@ func TestEnginesShareOnePool(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			e1, e2 := pipePair(t, o)
-			if e1.pool != pool || e2.pool != pool {
-				t.Errorf("conn %d: engine not bound to the shared pool", i)
-				return
-			}
 			done := make(chan error, 1)
 			go func() {
 				_, err := e1.WriteMessage(want)
@@ -107,6 +102,10 @@ func TestEnginesShareOnePool(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	// Every engine compressed and decompressed its message on the pool.
+	if jobs := DefaultWorkerPool().Submitted() - before; jobs < 2*conns {
+		t.Fatalf("%d jobs reached the shared pool for %d compressed messages", jobs, conns)
+	}
 }
 
 func readFullFrom(e *Engine, p []byte) error {

@@ -37,24 +37,15 @@ import (
 	"adoc/internal/netsim"
 )
 
-// Limits is the subset of engine options the model honors.
+// Limits is the engine option the model lets a caller vary; the other
+// engine parameters are the live engine's constants.
 type Limits struct {
-	PacketSize     int
-	BufferSize     int
-	SmallThreshold int
-	ProbeSize      int
-	FastCutoffBps  float64
+	PacketSize int
 }
 
 // DefaultLimits mirrors core.DefaultOptions.
 func DefaultLimits() Limits {
-	return Limits{
-		PacketSize:     core.DefaultPacketSize,
-		BufferSize:     core.DefaultBufferSize,
-		SmallThreshold: core.DefaultSmallThreshold,
-		ProbeSize:      core.DefaultProbeSize,
-		FastCutoffBps:  core.DefaultFastCutoffBps,
-	}
+	return Limits{PacketSize: core.DefaultPacketSize}
 }
 
 // Model simulates transfers of one data kind over one link.
@@ -67,7 +58,7 @@ type Model struct {
 	// Calib holds per-level codec throughput and ratio for the data kind
 	// being modeled (index = level).
 	Calib []codec.Throughput
-	// Limits configures the engine constants.
+	// Limits sets the FIFO packet size.
 	Limits Limits
 	// MinLevel/MaxLevel bound adaptation.
 	MinLevel, MaxLevel codec.Level
@@ -179,7 +170,7 @@ type group struct {
 // Transfer simulates one AdOC message of the model's data kind.
 func (m *Model) Transfer(size int64) Result {
 	res := Result{RawBytes: size, LevelCount: make([]int64, int(codec.MaxLevel)+1)}
-	lim := m.Limits
+	packet := int64(m.Limits.PacketSize)
 	bw := m.Net.BandwidthBps
 	lat := m.Net.Latency
 	sockBuf := int64(m.Net.SocketBuf)
@@ -188,7 +179,7 @@ func (m *Model) Transfer(size int64) Result {
 	}
 
 	// Small-message fast path.
-	if size < int64(lim.SmallThreshold) {
+	if size < core.DefaultSmallThreshold {
 		res.WireBytes = size + 16
 		res.Duration = m.RawTransfer(res.WireBytes)
 		return res
@@ -206,22 +197,19 @@ func (m *Model) Transfer(size int64) Result {
 
 	// Probe: 256 KB raw, timed at link speed.
 	if !m.DisableProbe && m.MinLevel == codec.MinLevel {
-		probe := int64(lim.ProbeSize)
-		if probe > remaining {
-			probe = remaining
-		}
+		probe := min(int64(core.DefaultProbeSize), remaining)
 		ser := time.Duration(float64(probe) / bw * float64(time.Second))
 		now += ser
-		wire += probe + probe/int64(lim.PacketSize)*5 + 16
+		wire += probe + probe/packet*5 + 16
 		remaining -= probe
 		measured := float64(probe) / ser.Seconds()
 		ctrl.RecordDelivery(codec.MinLevel, int(probe), ser)
-		if measured > lim.FastCutoffBps {
+		if measured > core.DefaultFastCutoffBps {
 			res.Bypassed = true
 			ser2 := time.Duration(float64(remaining) / bw * float64(time.Second))
 			res.Duration = now + ser2 + lat
-			res.WireBytes = wire + remaining + remaining/int64(lim.PacketSize)*5
-			res.LevelCount[0] += (size + int64(lim.BufferSize) - 1) / int64(lim.BufferSize)
+			res.WireBytes = wire + remaining + remaining/packet*5
+			res.LevelCount[0] += (size + core.DefaultBufferSize - 1) / core.DefaultBufferSize
 			return res
 		}
 	}
@@ -279,10 +267,7 @@ func (m *Model) Transfer(size int64) Result {
 	}
 
 	for remaining > 0 {
-		raw := int64(lim.BufferSize)
-		if raw > remaining {
-			raw = remaining
-		}
+		raw := min(int64(core.DefaultBufferSize), remaining)
 		// A full FIFO blocks the compression thread before it can start
 		// the next buffer.
 		if cumPackets-sentPacketsBy(compFree) > qCap {
@@ -313,7 +298,7 @@ func (m *Model) Transfer(size int64) Result {
 		}
 		g := group{raw: raw, level: level}
 		g.wire = int64(float64(raw)/ratio) + 16
-		g.packets = (g.wire + int64(lim.PacketSize) - 1) / int64(lim.PacketSize)
+		g.packets = (g.wire + packet - 1) / packet
 		g.compDone = compFree + compDur
 		compFree = g.compDone
 

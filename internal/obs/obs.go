@@ -16,9 +16,8 @@
 //     retired owners' contributions persist with no fold-on-close
 //     bookkeeping.
 //
-// Registries bind per stack the way core.Options.SharedPool binds worker
-// pools: Options.Metrics names a registry, nil means the process-wide
-// Default(). Instantaneous values that cannot be summed across owners
+// Registries bind per stack: Options.Metrics names a registry, nil means
+// the process-wide Default(). Instantaneous values that cannot be summed across owners
 // (the adapt controller's current level, per-level bandwidth EWMAs) are
 // published as GaugeFuncs by the long-lived owner that holds them — the
 // gateway registers its tunnel's snapshot, not every connection its own.
