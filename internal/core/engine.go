@@ -25,6 +25,11 @@ var (
 	ErrMidMessage = errors.New("adoc: previous message not fully read")
 )
 
+// recvReadAhead is the engine's read-ahead buffer on the connection: one
+// read brings in the frame headers and payloads of a whole small group
+// instead of a system call per header field.
+const recvReadAhead = 16 << 10
+
 // Engine is the per-connection AdOC state: the sender-side adaptive
 // controller (level choices and bandwidth history persist across messages,
 // as in the C library where they live behind the descriptor) and the
@@ -49,7 +54,8 @@ type Engine struct {
 	recvBuf  bytes.Buffer // decompressed, not yet consumed by Read
 	smallBuf []byte       // reusable small-payload buffer of the receive step
 	curMu    sync.Mutex
-	cur      *streamState // in-progress stream message, if any
+	cur      *streamState // in-progress pipelined stream message, if any
+	one      oneBufferMsg // in-progress one-buffer stream message, if active
 
 	// sendTC is the flow-trace context of the in-progress write; written
 	// at the top of every write while wmu is held, so the send pipeline
@@ -297,7 +303,7 @@ func New(rw io.ReadWriter, opts Options) (*Engine, error) {
 	e := &Engine{
 		rw:     rw,
 		opts:   opts,
-		dec:    wire.NewReader(rw),
+		dec:    wire.NewReaderSize(rw, recvReadAhead),
 		stats:  bindEngineStats(reg),
 		events: reg.Events(),
 	}

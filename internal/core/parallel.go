@@ -75,8 +75,8 @@ func (e *Engine) compressJob(buf, data []byte, level codec.Level, res chan<- com
 	if level == codec.LZF {
 		scratch = bufpool.Get(e.opts.BufferSize)
 	}
-	var segs segList
-	err := e.compressBufferAt(&segs, level, data, scratch)
+	var sink frameSink
+	err := e.compressBufferAt(&sink, level, data, scratch)
 	raw := len(data)
 	if tc.Sampled {
 		tr.Record(tc, 0, obs.StageCompress, start, tr.Now().Sub(start), raw, int(level))
@@ -85,7 +85,7 @@ func (e *Engine) compressJob(buf, data []byte, level codec.Level, res chan<- com
 		bufpool.Put(scratch) // segments copied out of it already
 	}
 	bufpool.Put(buf)
-	res <- compResult{segs: segs, raw: raw, class: class, err: err}
+	res <- compResult{segs: sink.segs, raw: raw, class: class, err: err}
 }
 
 // sendPipeline runs the adaptive send pipeline for the rest of a message:
@@ -247,6 +247,14 @@ func (e *Engine) decodeGroup(g completedGroup) decResult {
 	return decResult{data: raw, rawLen: g.rawLen}
 }
 
+// decode is decodeGroup, traced when the engine has a FlowTracer.
+func (e *Engine) decode(g completedGroup) decResult {
+	if e.opts.FlowTracer.Enabled() {
+		return e.decodeGroupTraced(g)
+	}
+	return e.decodeGroup(g)
+}
+
 // decodeGroupTraced is decodeGroup with a decompress span recorded against
 // the stream's adopted (or pending) receive trace, plus the completion
 // stamp the delivery stage measures its wait from.
@@ -297,7 +305,7 @@ func (e *Engine) runDecodePipeline(st *streamState) {
 		rc <- r
 		order <- rc
 	}
-	var asm groupAssembler
+	asm := newGroupAssembler(st.total, false)
 	for {
 		fr, err := st.frames.Pop()
 		if err == io.EOF {
@@ -328,11 +336,7 @@ func (e *Engine) runDecodePipeline(st *streamState) {
 			grp := *g
 			rc := make(chan decResult, 1)
 			order <- rc
-			if e.opts.FlowTracer.Enabled() {
-				defaultPool.Submit(func() { rc <- e.decodeGroupTraced(grp) })
-			} else {
-				defaultPool.Submit(func() { rc <- e.decodeGroup(grp) })
-			}
+			defaultPool.Submit(func() { rc <- e.decode(grp) })
 		}
 	}
 	close(order)

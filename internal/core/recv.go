@@ -36,10 +36,37 @@ type recvFrame struct {
 // a reception goroutine (the paper's reception thread) pushes frames into
 // a bounded FIFO; the decode pipeline (assembler, worker pool, in-order
 // collector) turns them into groups, and decoded holds its output for the
-// receive step.
+// receive step. total is the raw size the header declared.
 type streamState struct {
 	frames  *fifo.Queue[recvFrame]
 	decoded *fifo.Queue[decResult]
+	total   uint64
+}
+
+// oneBufferMsg is a stream message whose declared size fits one
+// adaptation buffer. The pipeline would have nothing to overlap — the
+// reception thread and the decode stage would hand each other a single
+// group — so the receive step reads its frames and decodes its groups on
+// the caller's goroutine, into pooled blocks. Guarded by rmu.
+type oneBufferMsg struct {
+	active bool
+	asm    groupAssembler
+	span   groupSpan
+	// err is sticky, as the pipeline's decoded queue is: every later call
+	// returns it until the message is dropped.
+	err error
+	// held is the pooled block behind the span delivered last, returned
+	// at the start of the next receive step.
+	held []byte
+}
+
+// groupSpan follows the group in reception for its receive span: from
+// its first frame off the socket to its last, with the wire bytes it
+// carried.
+type groupSpan struct {
+	start time.Time
+	wire  int
+	level codec.Level
 }
 
 // completedGroup is one fully assembled compressed group ready to decode.
@@ -54,15 +81,42 @@ type completedGroup struct {
 // accumulates packet payloads into complete groups, each in a block of its
 // own: a pool worker holds a group's block while the next group
 // assembles, and a raw group's decoded bytes alias it.
+//
+// It bounds what a peer can make the receiver hold: a group's block may
+// not exceed wire.MaxGroupBlock (ErrTooBig), nor, in a message of known
+// size, the block its remaining raw bytes could compress to, and its
+// groups may not carry more raw bytes than the header declared
+// (ErrBadFrame). Both receive paths feed frames through it, so they fail
+// the same input the same way.
 type groupAssembler struct {
 	inGroup bool
 	level   codec.Level
 	block   []byte
+	// left is the raw bytes the message header still allows;
+	// wire.UnknownTotal when it declared no size.
+	left uint64
+	// pooled takes each block from bufpool at its bound, so it never
+	// grows; its owner returns it.
+	pooled bool
+}
+
+func newGroupAssembler(total uint64, pooled bool) groupAssembler {
+	return groupAssembler{left: total, pooled: pooled}
+}
+
+// blockLimit is the largest block the current group may carry, and the
+// error a larger one fails with.
+func (a *groupAssembler) blockLimit() (int, error) {
+	if a.left < wire.MaxGroupRaw {
+		return wire.BlockBound(int(a.left)), wire.ErrBadFrame
+	}
+	return wire.MaxGroupBlock, wire.ErrTooBig
 }
 
 // feed consumes one frame. At most one of the results is set: a completed
 // group, the message-end signal, or a framing error; all unset means
-// mid-group progress.
+// mid-group progress. A packet payload is copied; the frame may be
+// reused once feed returns.
 func (a *groupAssembler) feed(fr recvFrame) (g *completedGroup, end bool, err error) {
 	switch fr.mark {
 	case wire.MarkGroupBegin:
@@ -71,14 +125,34 @@ func (a *groupAssembler) feed(fr recvFrame) (g *completedGroup, end bool, err er
 		}
 		a.inGroup = true
 		a.level = fr.level
+		if a.pooled {
+			limit, _ := a.blockLimit()
+			a.block = bufpool.Get(limit)[:0]
+		}
 	case wire.MarkPacket:
 		if !a.inGroup {
 			return nil, false, fmt.Errorf("%w: packet outside group", wire.ErrBadFrame)
+		}
+		limit, lerr := a.blockLimit()
+		if len(a.block)+len(fr.payload) > limit {
+			return nil, false, fmt.Errorf("%w: group block over %d bytes", lerr, limit)
+		}
+		if cap(a.block)-len(a.block) < len(fr.payload) {
+			// Double, up to the limit: a block costs at most about twice
+			// its final size in allocations, where append's gentler
+			// growth of large slices costs five times.
+			a.block = slices.Grow(a.block, min(max(len(fr.payload), len(a.block)), limit-len(a.block)))
 		}
 		a.block = append(a.block, fr.payload...)
 	case wire.MarkGroupEnd:
 		if !a.inGroup {
 			return nil, false, fmt.Errorf("%w: group end outside group", wire.ErrBadFrame)
+		}
+		if a.left != wire.UnknownTotal {
+			if uint64(fr.rawLen) > a.left {
+				return nil, false, fmt.Errorf("%w: groups carry more raw bytes than the message declared", wire.ErrBadFrame)
+			}
+			a.left -= uint64(fr.rawLen)
 		}
 		a.inGroup = false
 		g = &completedGroup{level: a.level, block: a.block, rawLen: fr.rawLen, sum: fr.checksum}
@@ -95,6 +169,14 @@ func (a *groupAssembler) feed(fr recvFrame) (g *completedGroup, end bool, err er
 	return nil, false, nil
 }
 
+// release returns a pooled block still in assembly, if any.
+func (a *groupAssembler) release() {
+	if a.pooled && a.block != nil {
+		bufpool.Put(a.block)
+	}
+	a.block = nil
+}
+
 // abort terminates the stream's queues so blocked producers and consumers
 // unblock with err.
 func (st *streamState) abort(err error) {
@@ -103,12 +185,12 @@ func (st *streamState) abort(err error) {
 }
 
 // startStream launches the reception thread and the decode pipeline for a
-// stream message.
-func (e *Engine) startStream() *streamState {
-	e.resetRecvTrace()
+// stream message declaring total raw bytes.
+func (e *Engine) startStream(total uint64) *streamState {
 	st := &streamState{
 		frames:  fifo.New[recvFrame](DefaultQueueCapacity),
 		decoded: fifo.New[decResult](2 * e.opts.Parallelism),
+		total:   total,
 	}
 	go e.runDecodePipeline(st)
 	go e.receiveLoop(st)
@@ -120,11 +202,7 @@ func (e *Engine) startStream() *streamState {
 // this read loop with decompression in the consumer is the receiver half
 // of the paper's compression/communication overlap.
 func (e *Engine) receiveLoop(st *streamState) {
-	tr := e.opts.FlowTracer
-	traced := tr.Enabled()
-	var groupStart time.Time
-	var groupWire int
-	var groupLevel codec.Level
+	var span groupSpan
 	for {
 		f, err := e.dec.ReadFrame()
 		if err != nil {
@@ -133,37 +211,13 @@ func (e *Engine) receiveLoop(st *streamState) {
 			st.frames.CloseSendWithError(err)
 			return
 		}
+		e.countFrame(f, &span)
 		fr := recvFrame{mark: f.Mark, level: f.Level, rawLen: f.RawLen, checksum: f.Checksum}
-		// Frame overheads come from the wire constants — never literal byte
-		// counts — so receive stats track the protocol by construction.
-		switch f.Mark {
-		case wire.MarkPacket:
+		if f.Mark == wire.MarkPacket {
 			// The copy out of the wire reader's scratch comes from the
 			// shared pool; the consumer recycles it after group assembly.
 			fr.payload = bufpool.Get(len(f.Payload))
 			copy(fr.payload, f.Payload)
-			e.stats.wireReceived.Add(int64(wire.FramePacketOverhead + len(f.Payload)))
-			if traced {
-				groupWire += wire.FramePacketOverhead + len(f.Payload)
-			}
-		case wire.MarkGroupBegin:
-			e.stats.wireReceived.Add(wire.FrameGroupBeginLen)
-			if traced {
-				groupStart = tr.Now()
-				groupWire = int(wire.FrameGroupBeginLen)
-				groupLevel = f.Level
-			}
-		case wire.MarkGroupEnd:
-			e.stats.wireReceived.Add(wire.FrameGroupEndLen)
-			if traced && !groupStart.IsZero() {
-				// One receive span per group: first frame off the socket to
-				// the group's last frame, with the wire bytes it carried.
-				groupWire += int(wire.FrameGroupEndLen)
-				e.recordRecvSpan(obs.StageReceive, groupStart, tr.Now().Sub(groupStart), groupWire, int(groupLevel))
-				groupStart = time.Time{}
-			}
-		case wire.MarkMsgEnd:
-			e.stats.wireReceived.Add(wire.FrameMsgEndLen)
 		}
 		if err := st.frames.Push(fr); err != nil {
 			return // consumer or Close aborted the queue
@@ -175,13 +229,37 @@ func (e *Engine) receiveLoop(st *streamState) {
 	}
 }
 
+// countFrame adds one received frame to the wire-byte count and, when
+// tracing, to its group's receive span, recorded at the group's end.
+func (e *Engine) countFrame(f wire.Frame, span *groupSpan) {
+	e.stats.wireReceived.Add(int64(f.Len()))
+	tr := e.opts.FlowTracer
+	if !tr.Enabled() {
+		return
+	}
+	switch f.Mark {
+	case wire.MarkGroupBegin:
+		span.start = tr.Now()
+		span.wire = f.Len()
+		span.level = f.Level
+	case wire.MarkPacket:
+		span.wire += f.Len()
+	case wire.MarkGroupEnd:
+		if !span.start.IsZero() {
+			span.wire += f.Len()
+			e.recordRecvSpan(obs.StageReceive, span.start, tr.Now().Sub(span.start), span.wire, int(span.level))
+			span.start = time.Time{}
+		}
+	}
+}
+
 // next is the one receive step behind Read, ReadChunk and ReceiveMessage;
 // callers hold rmu. It returns the next span of the incoming byte stream —
 // one decoded group, or one whole small payload — and whether that span
 // ended a message (a stream message ends with an empty span). It reads a
 // message header only when no stream message is in progress. With block
-// false it never waits: between messages, or while the stream pipeline
-// has nothing ready, it returns an empty span with end false.
+// false it never waits: between messages, or while the stream message has
+// nothing ready, it returns an empty span with end false.
 //
 // The span is valid only until the next call: it may alias smallBuf or a
 // decoded group that the next call releases.
@@ -189,8 +267,9 @@ func (e *Engine) next(block bool) (span []byte, end bool, err error) {
 	if e.closed.Load() {
 		return nil, false, ErrClosed
 	}
+	e.releaseHeld()
 	st := e.loadCur()
-	if st == nil {
+	if st == nil && !e.one.active {
 		if !block {
 			return nil, false, nil
 		}
@@ -203,8 +282,19 @@ func (e *Engine) next(block bool) (span []byte, end bool, err error) {
 			return span, err == nil, err
 		}
 		e.stats.wireReceived.Add(wire.StreamHeaderLen)
-		st = e.startStream()
-		e.storeCur(st)
+		e.resetRecvTrace()
+		if h.TotalRaw <= uint64(e.opts.BufferSize) {
+			e.one = oneBufferMsg{active: true, asm: newGroupAssembler(h.TotalRaw, true)}
+		} else {
+			st = e.startStream(h.TotalRaw)
+			e.storeCur(st)
+		}
+	}
+	if e.one.active {
+		if !block {
+			return nil, false, nil
+		}
+		return e.nextOneBuffer()
 	}
 	for {
 		var g decResult
@@ -226,16 +316,80 @@ func (e *Engine) next(block bool) (span []byte, end bool, err error) {
 			e.stats.msgsReceived.Add(1)
 			return nil, true, nil
 		}
-		e.stats.rawReceived.Add(int64(g.rawLen))
-		if !g.doneAt.IsZero() && e.opts.FlowTracer.Enabled() {
-			// Deliver wait: decompression done to the consumer taking the
-			// group in wire order.
-			e.recordRecvSpan(obs.StageDeliver, g.doneAt, e.opts.FlowTracer.Now().Sub(g.doneAt), g.rawLen, g.level)
-		}
+		e.noteDelivered(g)
 		if len(g.data) > 0 {
 			return g.data, false, nil
 		}
 		// An empty group adds nothing to the byte stream.
+	}
+}
+
+// nextOneBuffer is the receive step of a one-buffer stream message: it
+// reads frames until a group completes, decodes and verifies it here, and
+// returns it, or the message end, or the message's error.
+func (e *Engine) nextOneBuffer() ([]byte, bool, error) {
+	m := &e.one
+	for m.err == nil {
+		f, err := e.dec.ReadFrame()
+		if err != nil {
+			m.fail(err)
+			break
+		}
+		e.countFrame(f, &m.span)
+		// feed copies the payload out of the wire reader's scratch.
+		g, end, err := m.asm.feed(recvFrame{mark: f.Mark, level: f.Level, payload: f.Payload, rawLen: f.RawLen, checksum: f.Checksum})
+		if err != nil {
+			m.fail(err)
+			break
+		}
+		if end {
+			e.one = oneBufferMsg{}
+			e.stats.msgsReceived.Add(1)
+			return nil, true, nil
+		}
+		if g == nil {
+			continue
+		}
+		r := e.decode(*g)
+		if r.err == nil && len(r.data) > 0 && g.level == codec.MinLevel {
+			m.held = g.block // a raw group's bytes are its block
+		} else {
+			bufpool.Put(g.block)
+		}
+		if r.err != nil {
+			m.err = r.err
+			break
+		}
+		e.noteDelivered(r)
+		if len(r.data) > 0 {
+			return r.data, false, nil
+		}
+	}
+	return nil, false, m.err
+}
+
+// fail ends a one-buffer message with err.
+func (m *oneBufferMsg) fail(err error) {
+	m.err = err
+	m.asm.release()
+}
+
+// releaseHeld returns the block behind the span the last receive step
+// delivered.
+func (e *Engine) releaseHeld() {
+	if e.one.held != nil {
+		bufpool.Put(e.one.held)
+		e.one.held = nil
+	}
+}
+
+// noteDelivered counts one decoded group handed to the consumer and
+// records its deliver span: decompression done to the consumer taking
+// the group in wire order.
+func (e *Engine) noteDelivered(g decResult) {
+	e.stats.rawReceived.Add(int64(g.rawLen))
+	if !g.doneAt.IsZero() && e.opts.FlowTracer.Enabled() {
+		e.recordRecvSpan(obs.StageDeliver, g.doneAt, e.opts.FlowTracer.Now().Sub(g.doneAt), g.rawLen, g.level)
 	}
 }
 
@@ -291,6 +445,9 @@ func (e *Engine) dropStream(err error) {
 		st.abort(err)
 		e.storeCur(nil)
 	}
+	e.releaseHeld()
+	e.one.asm.release()
+	e.one = oneBufferMsg{}
 }
 
 // Read implements the adoc_read semantics: it fills p with the next bytes
@@ -378,7 +535,7 @@ func (e *Engine) ReceiveMessage(w io.Writer) (int64, error) {
 	if e.closed.Load() {
 		return 0, ErrClosed
 	}
-	if e.recvBuf.Len() > 0 || e.loadCur() != nil {
+	if e.recvBuf.Len() > 0 || e.loadCur() != nil || e.one.active {
 		return 0, ErrMidMessage
 	}
 	var total int64

@@ -58,7 +58,20 @@ func readAllWith(size int) func(e *Engine) ([]byte, error) {
 
 // receiveFrom runs recv over an engine reading the hand-made stream data.
 func receiveFrom(t testing.TB, data []byte, recv func(*Engine) ([]byte, error)) ([]byte, error) {
-	e, err := New(&rawConn{Reader: bytes.NewReader(data)}, DefaultOptions())
+	return receiveWith(t, DefaultOptions(), data, recv)
+}
+
+// pipelineReceiver is a receiver whose one-byte buffer sends every stream
+// message declaring more than a byte through the receive pipeline.
+func pipelineReceiver() Options {
+	o := DefaultOptions()
+	o.PacketSize, o.BufferSize = 1, 1
+	return o
+}
+
+// receiveWith is receiveFrom on an engine with options o.
+func receiveWith(t testing.TB, o Options, data []byte, recv func(*Engine) ([]byte, error)) ([]byte, error) {
+	e, err := New(&rawConn{Reader: bytes.NewReader(data)}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +157,10 @@ func errClass(err error) string {
 // arbitrary bytes go through Read (1-byte and 1 MiB buffers), ReadChunk
 // and ReceiveMessage, and all of them must deliver the same bytes up to
 // the first error and then fail with the same typed error class — never
-// a panic, a hang, or an untyped error.
+// a panic, a hang, or an untyped error. A receiver that sends every
+// stream message through the receive pipeline must agree with the
+// default one, which reads messages of up to a buffer on the caller's
+// goroutine.
 func FuzzEngineReceive(f *testing.F) {
 	var sent bytes.Buffer
 	sender, err := New(&rawConn{Reader: bytes.NewReader(nil), w: &sent}, smallPipelineOptions())
@@ -181,6 +197,30 @@ func FuzzEngineReceive(f *testing.F) {
 	f.Add(bytes.Join([][]byte{small, lzf, wire.AppendSmall(nil, nil), emptyGroup, deflate, small}, nil))
 	f.Add(lzf[:len(lzf)/2])
 
+	// One-buffer messages: groups carrying more than the header declared,
+	// a header declaring more than the groups carry, two groups, and a
+	// group that never ends.
+	raw := compressibleData(3000)
+	group := wire.AppendGroup(nil, codec.MinLevel, raw, 1024, len(raw), adler32.Checksum(raw))
+	oneBuffer := func(total uint64, groups int, end bool) []byte {
+		msg := wire.AppendStreamHeader(nil, total)
+		for range groups {
+			msg = append(msg, group...)
+		}
+		if end {
+			msg = wire.AppendMsgEnd(msg)
+		}
+		return msg
+	}
+	f.Add(oneBuffer(uint64(len(raw)), 2, true))
+	f.Add(oneBuffer(uint64(4*len(raw)), 1, true))
+	f.Add(oneBuffer(uint64(2*len(raw)), 2, true))
+	endless := wire.AppendGroupBegin(wire.AppendStreamHeader(nil, 4096), codec.MinLevel)
+	for range 8 {
+		endless = wire.AppendPacket(endless, raw[:1024])
+	}
+	f.Add(endless)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref, refErr := receiveFrom(t, data, receiveAPIs[2].recv) // ReadChunk
 		if errClass(refErr) == "" {
@@ -197,6 +237,13 @@ func FuzzEngineReceive(f *testing.F) {
 			if errClass(err) != errClass(refErr) {
 				t.Fatalf("%s failed with %v, ReadChunk with %v", api.name, err, refErr)
 			}
+		}
+		got, err := receiveWith(t, pipelineReceiver(), data, receiveAPIs[2].recv)
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("pipeline receiver delivered %d bytes, one-buffer receiver %d (or different bytes)", len(got), len(ref))
+		}
+		if errClass(err) != errClass(refErr) {
+			t.Fatalf("pipeline receiver failed with %v, one-buffer receiver with %v", err, refErr)
 		}
 	})
 }

@@ -70,13 +70,22 @@ func (e *Engine) writeMessage(p []byte, min, max codec.Level, tc obs.TraceContex
 		return 0, 0, ErrClosed
 	}
 	e.sendTC = tc
-	var acc int64
-	if min == codec.MinLevel && len(p) < e.opts.SmallThreshold {
-		acc, wireN, err = e.writeSmall(p)
-	} else {
-		acc, wireN, err = e.writeStream(bytes.NewReader(p), int64(len(p)), min, max)
-	}
+	acc, wireN, err := e.writeBytes(p, min, max)
 	return int(acc), wireN, err
+}
+
+// writeBytes sends p as one message on the cheapest path that carries
+// it: a small message when adaptation may leave it raw, one buffer
+// written whole when it fits one adaptation buffer, else the stream
+// pipeline. Caller holds wmu.
+func (e *Engine) writeBytes(p []byte, min, max codec.Level) (accepted, wireN int64, err error) {
+	switch {
+	case min == codec.MinLevel && len(p) < e.opts.SmallThreshold:
+		return e.writeSmall(p)
+	case len(p) <= e.opts.BufferSize:
+		return e.writeOneBuffer(p, min, max)
+	}
+	return e.writeStream(bytes.NewReader(p), int64(len(p)), min, max)
 }
 
 // SendMessage streams size bytes from r as one AdOC message; size < 0
@@ -100,13 +109,14 @@ func (e *Engine) SendMessageLevels(r io.Reader, size int64, min, max codec.Level
 		return 0, 0, ErrClosed
 	}
 	e.sendTC = obs.TraceContext{}
-	if size >= 0 && size < int64(e.opts.SmallThreshold) && min == codec.MinLevel {
+	if size >= 0 && (size <= int64(e.opts.BufferSize) ||
+		size < int64(e.opts.SmallThreshold) && min == codec.MinLevel) {
 		buf := bufpool.Get(int(size))
 		defer bufpool.Put(buf)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return 0, 0, fmt.Errorf("adoc: reading source: %w", err)
 		}
-		return e.writeSmall(buf)
+		return e.writeBytes(buf, min, max)
 	}
 	if size < 0 {
 		// Unknown size: peek up to SmallThreshold to decide the path.
@@ -114,10 +124,7 @@ func (e *Engine) SendMessageLevels(r io.Reader, size int64, min, max codec.Level
 		defer bufpool.Put(peek)
 		n, rerr := io.ReadFull(r, peek)
 		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-			if min == codec.MinLevel {
-				return e.writeSmall(peek[:n])
-			}
-			return e.writeStream(bytes.NewReader(peek[:n]), int64(n), min, max)
+			return e.writeBytes(peek[:n], min, max)
 		}
 		if rerr != nil {
 			return 0, 0, fmt.Errorf("adoc: reading source: %w", rerr)
@@ -159,14 +166,110 @@ func (e *Engine) writeSmall(p []byte) (accepted, wireN int64, err error) {
 	return int64(len(p)), int64(len(msg)), nil
 }
 
-// writeStream sends one stream message: header, then either the raw
-// bypass (fast link) or the adaptive pipeline, preceded by a raw probe
-// prefix while the connection has no link estimate yet. Caller holds wmu.
-// delivered is the raw payload of every group that fully reached the
-// socket (the basis of the io.Writer partial-write count; on success it is
-// every byte read from src); wireBytes counts everything written, and is
-// folded into Stats on every return path — error or not — so a mid-stream
-// failure cannot leave socket bytes unaccounted.
+// writeOneBuffer sends a stream message that fits one adaptation buffer.
+// The pipeline would have nothing to overlap — compressing buffer i+1
+// while buffer i is on the wire needs a buffer i+1 — so, like writeSmall,
+// it runs on the caller's goroutine: the level is chosen as the pipeline
+// chooses it for a first buffer (the fast-link bypass, or the controller
+// at an empty queue followed by the entropy probe), the buffer compresses
+// here, and one Write carries the header, the group(s) and MsgEnd. The
+// wire bytes are the pipeline's, and the controller, link estimate,
+// stats and flow-trace spans are fed as the pipeline feeds them. Caller
+// holds wmu.
+func (e *Engine) writeOneBuffer(p []byte, min, max codec.Level) (delivered, wireN int64, err error) {
+	if err := e.ctrl.SetBounds(min, max); err != nil {
+		return 0, 0, err
+	}
+	e.link.startMessage()
+	tc := e.sendTC
+	tr := e.opts.FlowTracer
+	sink := frameSink{flat: true}
+	sink.buf = bufpool.Get(wire.StreamHeaderLen + wire.GroupLen(len(p), e.opts.PacketSize) + wire.FrameMsgEndLen)[:0]
+	sink.buf = wire.AppendStreamHeader(sink.buf, uint64(len(p)))
+	bypass := min == codec.MinLevel && !e.opts.DisableProbe && e.link.Bps() > DefaultFastCutoffBps
+	switch {
+	case len(p) == 0:
+	case bypass:
+		// As on sendRawBypass, the controller neither picks the level nor
+		// hears about the group.
+		e.stats.probeBypasses.Add(1)
+		sink.appendGroup(codec.MinLevel, p, p, e.opts.PacketSize)
+	default:
+		level := e.ctrl.LevelForNextBuffer(0)
+		var start time.Time
+		if tc.Sampled {
+			// No in-flight window to wait for and no pool queue to sit in:
+			// both stages take no time on this path.
+			start = tr.Now()
+			tr.Record(tc, 0, obs.StageEnqueue, start, 0, len(p), int(level))
+			tr.Record(tc, 0, obs.StageQueue, start, 0, len(p), int(level))
+		}
+		level, class := e.classifyBuffer(level, p)
+		var scratch []byte
+		if level == codec.LZF {
+			scratch = bufpool.Get(e.opts.BufferSize)
+		}
+		err := e.compressBufferAt(&sink, level, p, scratch)
+		if scratch != nil {
+			bufpool.Put(scratch)
+		}
+		if tc.Sampled {
+			tr.Record(tc, 0, obs.StageCompress, start, tr.Now().Sub(start), len(p), int(level))
+		}
+		if err != nil {
+			bufpool.Put(sink.buf)
+			return 0, 0, err
+		}
+		e.noteContent(class)
+	}
+	sink.buf = wire.AppendMsgEnd(sink.buf)
+	e.stats.rawSent.Add(int64(len(p)))
+
+	start := e.opts.Clock.Now()
+	n, err := e.rw.Write(sink.buf)
+	end := e.opts.Clock.Now()
+	e.link.add(n, start, end)
+	e.stats.wireSent.Add(int64(n))
+	// Each group fully on the socket counts as delivered, with its share
+	// of the Write's time.
+	total := len(sink.buf)
+	prev := wire.StreamHeaderLen
+	for _, g := range sink.groups {
+		if n < g.end {
+			break
+		}
+		gw := g.end - prev
+		prev = g.end
+		delivered += int64(g.raw)
+		dur := end.Sub(start) * time.Duration(gw) / time.Duration(total)
+		if tc.Sampled {
+			tr.Record(tc, 0, obs.StageWire, start, dur, gw, int(g.level))
+		}
+		if bypass {
+			continue
+		}
+		e.ctrl.RecordDelivery(g.level, g.raw, dur)
+		if e.opts.Trace.OnGroupSent != nil {
+			e.opts.Trace.OnGroupSent(g.level, g.raw, gw, 0)
+		}
+	}
+	bufpool.Put(sink.buf)
+	if err != nil {
+		return delivered, int64(n), err
+	}
+	e.stats.msgsSent.Add(1)
+	return int64(len(p)), int64(total), nil
+}
+
+// writeStream sends one stream message that spans several adaptation
+// buffers (or has an unknown size): either the raw bypass (fast link) or
+// the adaptive pipeline, preceded by a raw probe prefix while the
+// connection has no link estimate yet. Caller holds wmu. delivered is the
+// raw payload of every group that fully reached the socket (the basis of
+// the io.Writer partial-write count; on success it is every byte read
+// from src); wireBytes counts everything written, and is folded into
+// Stats on every return path — error or not — so a mid-stream failure
+// cannot leave socket bytes unaccounted.
 func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (delivered, wireBytes int64, err error) {
 	if err := e.ctrl.SetBounds(min, max); err != nil {
 		return 0, 0, err
@@ -177,12 +280,9 @@ func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (d
 	if size >= 0 {
 		totalRaw = uint64(size)
 	}
+	// The header rides in front of the first raw group when the message
+	// starts raw (probe or bypass); the pipeline writes it alone.
 	hdr := wire.AppendStreamHeader(nil, totalRaw)
-	hn, err := e.rw.Write(hdr)
-	wireBytes += int64(hn)
-	if err != nil {
-		return 0, wireBytes, err
-	}
 
 	remaining := size // < 0 when unknown
 
@@ -209,7 +309,8 @@ func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (d
 			}
 			if n > 0 {
 				start := e.opts.Clock.Now()
-				w, err := e.writeRawGroupDirect(probeBuf[:n])
+				w, err := e.writeRawGroupDirect(hdr, probeBuf[:n], false)
+				hdr = nil
 				wireBytes += w
 				if err != nil {
 					return delivered, wireBytes, err
@@ -232,21 +333,32 @@ func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (d
 		}
 	}
 
-	var d, w int64
 	if bypass {
 		e.stats.probeBypasses.Add(1)
-		d, w, err = e.sendRawBypass(src, remaining)
-	} else {
-		d, w, err = e.sendPipeline(src, remaining)
+		d, w, err := e.sendRawBypass(src, remaining, hdr)
+		delivered += d
+		wireBytes += w
+		if err != nil {
+			return delivered, wireBytes, err
+		}
+		e.stats.msgsSent.Add(1)
+		return delivered, wireBytes, nil
 	}
+
+	if hdr != nil {
+		hn, err := e.rw.Write(hdr)
+		wireBytes += int64(hn)
+		if err != nil {
+			return delivered, wireBytes, err
+		}
+	}
+	d, w, err := e.sendPipeline(src, remaining)
 	delivered += d
 	wireBytes += w
 	if err != nil {
 		return delivered, wireBytes, err
 	}
-
-	end := wire.AppendMsgEnd(nil)
-	en, err := e.rw.Write(end)
+	en, err := e.rw.Write(wire.AppendMsgEnd(nil))
 	wireBytes += int64(en)
 	if err != nil {
 		return delivered, wireBytes, err
@@ -256,19 +368,18 @@ func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (d
 }
 
 // writeRawGroupDirect writes one level-0 group synchronously (probe and
-// bypass paths run on the caller thread; no pipeline exists yet), framed
-// into one pooled buffer so the whole group costs a single Write, which
-// feeds the link estimate. Bytes a failed Write did manage to push are
-// included in the returned count.
-func (e *Engine) writeRawGroupDirect(chunk []byte) (int64, error) {
-	packets := (len(chunk) + e.opts.PacketSize - 1) / e.opts.PacketSize
-	frame := bufpool.Get(wire.FrameGroupBeginLen + packets*wire.FramePacketOverhead +
-		len(chunk) + wire.FrameGroupEndLen)[:0]
-	frame = wire.AppendGroupBegin(frame, codec.MinLevel)
-	for off := 0; off < len(chunk); off += e.opts.PacketSize {
-		frame = wire.AppendPacket(frame, chunk[off:off+min(e.opts.PacketSize, len(chunk)-off)])
+// bypass paths run on the caller thread; no pipeline exists yet). The
+// group is framed into one pooled buffer behind head (the stream header,
+// while it is unsent) and, when last, ahead of MsgEnd, so it costs a
+// single Write, which feeds the link estimate. Bytes a failed Write did
+// manage to push are included in the returned count.
+func (e *Engine) writeRawGroupDirect(head, chunk []byte, last bool) (int64, error) {
+	frame := bufpool.Get(len(head) + wire.GroupLen(len(chunk), e.opts.PacketSize) + wire.FrameMsgEndLen)[:0]
+	frame = append(frame, head...)
+	frame = wire.AppendGroup(frame, codec.MinLevel, chunk, e.opts.PacketSize, len(chunk), wire.Checksum(chunk))
+	if last {
+		frame = wire.AppendMsgEnd(frame)
 	}
-	frame = wire.AppendGroupEnd(frame, len(chunk), wire.Checksum(chunk))
 	start := e.opts.Clock.Now()
 	n, err := e.rw.Write(frame)
 	e.link.add(n, start, e.opts.Clock.Now())
@@ -278,8 +389,10 @@ func (e *Engine) writeRawGroupDirect(chunk []byte) (int64, error) {
 
 // sendRawBypass sends the remainder of the message uncompressed on the
 // caller thread — the Gbit fast path where "we send the remaining data
-// uncompressed". remaining < 0 means until EOF.
-func (e *Engine) sendRawBypass(src io.Reader, remaining int64) (delivered, wireBytes int64, err error) {
+// uncompressed" — through MsgEnd. head, when non-nil, is the unsent
+// stream header; it goes out in the same Write as the first group, and
+// MsgEnd in the same Write as the last one. remaining < 0 means until EOF.
+func (e *Engine) sendRawBypass(src io.Reader, remaining int64, head []byte) (delivered, wireBytes int64, err error) {
 	buf := bufpool.Get(e.opts.BufferSize)
 	defer bufpool.Put(buf)
 	for remaining != 0 {
@@ -288,19 +401,25 @@ func (e *Engine) sendRawBypass(src io.Reader, remaining int64) (delivered, wireB
 			want = remaining
 		}
 		n, rerr := io.ReadFull(src, buf[:want])
+		eof := rerr == io.EOF || rerr == io.ErrUnexpectedEOF
 		if n > 0 {
-			w, err := e.writeRawGroupDirect(buf[:n])
+			if remaining > 0 {
+				remaining -= int64(n)
+			}
+			last := remaining == 0 || remaining < 0 && eof
+			w, err := e.writeRawGroupDirect(head, buf[:n], last)
+			head = nil
 			wireBytes += w
 			if err != nil {
 				return delivered, wireBytes, err
 			}
 			delivered += int64(n)
 			e.stats.rawSent.Add(int64(n))
-			if remaining > 0 {
-				remaining -= int64(n)
+			if last {
+				return delivered, wireBytes, nil
 			}
 		}
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
+		if eof {
 			if remaining > 0 {
 				return delivered, wireBytes, fmt.Errorf("adoc: source ended %d bytes early: %w", remaining, io.ErrUnexpectedEOF)
 			}
@@ -310,7 +429,10 @@ func (e *Engine) sendRawBypass(src io.Reader, remaining int64) (delivered, wireB
 			return delivered, wireBytes, fmt.Errorf("adoc: reading source: %w", rerr)
 		}
 	}
-	return delivered, wireBytes, nil
+	// The source ended on a buffer boundary (or sent nothing): MsgEnd,
+	// behind the header if that is still unsent, goes out on its own.
+	w, err := e.rw.Write(wire.AppendMsgEnd(head))
+	return delivered, wireBytes + int64(w), err
 }
 
 // emitResult is the emission thread's final report. rawDelivered is the
@@ -434,12 +556,12 @@ func (e *Engine) noteContent(class contentClass) {
 
 // compressBufferAt handles one adaptation unit (≤ BufferSize bytes) at a
 // level the caller already resolved (controller choice, possibly lowered
-// to 0 by the entropy probe): compresses and appends wire-framed packets
-// to dst. It implements the incompressible-data guard by aborting
+// to 0 by the entropy probe): compresses and appends its wire frames to
+// dst. It implements the incompressible-data guard by aborting
 // DEFLATE buffers whose running ratio is poor and sending the remainder
 // raw. scratch, when non-nil, is a caller-owned buffer reused for LZF
-// blocks (the segments copy out of it before returning).
-func (e *Engine) compressBufferAt(dst *segList, level codec.Level, chunk, scratch []byte) error {
+// blocks (the frames copy out of it before returning).
+func (e *Engine) compressBufferAt(dst *frameSink, level codec.Level, chunk, scratch []byte) error {
 	switch {
 	case level == codec.MinLevel:
 		e.pushBlockGroup(dst, codec.MinLevel, chunk, chunk)
@@ -462,9 +584,16 @@ func (e *Engine) compressBufferAt(dst *segList, level codec.Level, chunk, scratc
 	return nil
 }
 
-// pushBlockGroup frames a fully materialized group (raw or LZF block) into
-// packet segments. raw is the uncompressed data (for the checksum).
-func (e *Engine) pushBlockGroup(dst *segList, level codec.Level, block, raw []byte) {
+// pushBlockGroup frames a fully materialized group (raw or LZF block).
+// raw is the uncompressed data (for the checksum).
+func (e *Engine) pushBlockGroup(dst *frameSink, level codec.Level, block, raw []byte) {
+	if dst.flat {
+		dst.appendGroup(level, block, raw, e.opts.PacketSize)
+		// One per segment the packetizer would have queued: each full
+		// packet, plus the one that closes the group.
+		e.ctrl.NotePacketsSent(len(block)/e.opts.PacketSize + 1)
+		return
+	}
 	p := newPacketizer(e, dst, level)
 	_, _ = p.Write(block) // appends to dst; cannot fail
 	p.finish(len(raw), wire.Checksum(raw))
@@ -473,7 +602,7 @@ func (e *Engine) pushBlockGroup(dst *segList, level codec.Level, block, raw []by
 // pushFlateGroup streams chunk through a DEFLATE compressor, checking the
 // running ratio after every flush so incompressible data aborts the buffer
 // early (paper §5 "Compressed and random data").
-func (e *Engine) pushFlateGroup(dst *segList, level codec.Level, chunk []byte) error {
+func (e *Engine) pushFlateGroup(dst *frameSink, level codec.Level, chunk []byte) error {
 	p := newPacketizer(e, dst, level)
 	sw, err := codec.NewStreamWriter(level, p)
 	if err != nil {
@@ -511,12 +640,36 @@ func (e *Engine) pushFlateGroup(dst *segList, level codec.Level, chunk []byte) e
 	return nil
 }
 
+// frameSink collects the wire frames of one compressed buffer: one
+// segment per packet for the emission FIFO, or, when flat, every frame
+// appended to buf for a single Write, with groups marking where each
+// group ends.
+type frameSink struct {
+	segs   segList
+	flat   bool
+	buf    []byte
+	groups []flatGroup
+}
+
+// flatGroup is one group of a flat sink: its level, raw size, and the
+// offset in buf just past its groupEnd frame.
+type flatGroup struct {
+	level    codec.Level
+	raw, end int
+}
+
+// appendGroup frames one whole group into a flat sink.
+func (s *frameSink) appendGroup(level codec.Level, block, raw []byte, packetSize int) {
+	s.buf = wire.AppendGroup(s.buf, level, block, packetSize, len(raw), wire.Checksum(raw))
+	s.groups = append(s.groups, flatGroup{level: level, raw: len(raw), end: len(s.buf)})
+}
+
 // packetizer is an io.Writer that cuts a group's byte stream into
-// packet-framed segments of at most PacketSize payload bytes. Its writes
-// only append to a segment list, so they never fail.
+// packet frames of at most PacketSize payload bytes. Its writes only
+// append to a frame sink, so they never fail.
 type packetizer struct {
 	e       *Engine
-	dst     *segList
+	dst     *frameSink
 	level   codec.Level
 	pending []byte
 	first   bool
@@ -524,7 +677,7 @@ type packetizer struct {
 	wire    int // wire bytes pushed so far (framing included)
 }
 
-func newPacketizer(e *Engine, dst *segList, level codec.Level) *packetizer {
+func newPacketizer(e *Engine, dst *frameSink, level codec.Level) *packetizer {
 	return &packetizer{e: e, dst: dst, level: level, first: true,
 		pending: bufpool.Get(e.opts.PacketSize)[:0]}
 }
@@ -547,16 +700,23 @@ func (p *packetizer) Write(b []byte) (int, error) {
 	return n, nil
 }
 
-// flushPacket appends the pending payload as one segment. When end is true
-// the groupEnd frame (with rawLen and checksum) is glued onto the same
-// segment so the group closes without an extra FIFO slot.
+// flushPacket appends the pending payload as one segment (or, to a flat
+// sink, as frames). When end is true the groupEnd frame (with rawLen and
+// checksum) is glued onto the same segment so the group closes without
+// an extra FIFO slot.
 func (p *packetizer) flushPacket(end bool, rawLen int, sum uint32) {
 	if len(p.pending) == 0 && !end {
 		return
 	}
-	// The frame buffer travels through the FIFO to the emission thread,
-	// which recycles it after the socket write.
-	frame := bufpool.Get(len(p.pending) + maxFrameOverhead)[:0]
+	var frame []byte
+	if p.dst.flat {
+		frame = p.dst.buf
+	} else {
+		// The frame buffer travels through the FIFO to the emission
+		// thread, which recycles it after the socket write.
+		frame = bufpool.Get(len(p.pending) + maxFrameOverhead)[:0]
+	}
+	before := len(frame)
 	if p.first {
 		frame = wire.AppendGroupBegin(frame, p.level)
 	}
@@ -566,21 +726,29 @@ func (p *packetizer) flushPacket(end bool, rawLen int, sum uint32) {
 	if end {
 		frame = wire.AppendGroupEnd(frame, rawLen, sum)
 	}
+	p.e.ctrl.NotePacketsSent(1)
+	p.wire += len(frame) - before
+	first := p.first
+	p.first = false
+	p.pending = p.pending[:0]
+	if p.dst.flat {
+		p.dst.buf = frame
+		if end {
+			p.dst.groups = append(p.dst.groups, flatGroup{level: p.level, raw: rawLen, end: len(frame)})
+		}
+		return
+	}
 	seg := segment{
 		data:       frame,
-		groupStart: p.first,
+		groupStart: first,
 		groupEnd:   end,
 		level:      p.level,
 	}
-	p.first = false
-	p.pending = p.pending[:0]
-	p.wire += len(frame)
 	if end {
 		seg.groupRaw = rawLen
 		seg.groupWire = p.wire
 	}
-	*p.dst = append(*p.dst, seg)
-	p.e.ctrl.NotePacketsSent(1)
+	p.dst.segs = append(p.dst.segs, seg)
 }
 
 // finish closes the group, emitting any partial packet plus the groupEnd

@@ -28,6 +28,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -80,9 +81,25 @@ const (
 	// reject larger values to bound allocations. The engine produces
 	// groups of at most its buffer size (default 200 KB).
 	MaxGroupRaw = 16 << 20
+	// MaxGroupBlock bounds the compressed block of one group: the largest
+	// block a MaxGroupRaw group can legitimately compress to (BlockBound of
+	// it). Decoders reject groups whose packets carry more.
+	MaxGroupBlock = MaxGroupRaw + MaxGroupRaw>>blockSlackShift + blockSlack
 	// MaxPacketLen bounds one packet payload; the engine produces 8 KB.
 	MaxPacketLen = 1 << 20
+
+	// The slack BlockBound allows over the raw size. A group ships at its
+	// codec's level only when the block shrinks, except a DEFLATE stream
+	// cut short by the incompressible-data guard: its stored blocks and
+	// sync flushes add about 11 bytes per 32 KB flush interval, far below
+	// 1/64 of the raw size plus a fixed kilobyte.
+	blockSlackShift = 6
+	blockSlack      = 1024
 )
+
+// BlockBound is the largest compressed block a group of raw bytes can
+// legitimately carry, at any level.
+func BlockBound(raw int) int { return raw + raw>>blockSlackShift + blockSlack }
 
 // Kind discriminates the two message bodies.
 type Kind uint8
@@ -162,6 +179,24 @@ func AppendGroupEnd(dst []byte, rawLen int, sum uint32) []byte {
 // AppendMsgEnd appends the stream terminator.
 func AppendMsgEnd(dst []byte) []byte { return append(dst, MarkMsgEnd) }
 
+// AppendGroup appends one complete buffer group: groupBegin, block cut
+// into packets of at most packetSize bytes, and groupEnd carrying rawLen
+// and the checksum of the raw data. An empty block has no packet.
+func AppendGroup(dst []byte, level codec.Level, block []byte, packetSize, rawLen int, sum uint32) []byte {
+	dst = AppendGroupBegin(dst, level)
+	for off := 0; off < len(block); off += packetSize {
+		dst = AppendPacket(dst, block[off:off+min(packetSize, len(block)-off)])
+	}
+	return AppendGroupEnd(dst, rawLen, sum)
+}
+
+// GroupLen is the wire size of a group whose block is blockLen bytes, cut
+// into packets of at most packetSize bytes.
+func GroupLen(blockLen, packetSize int) int {
+	packets := (blockLen + packetSize - 1) / packetSize
+	return FrameGroupBeginLen + packets*FramePacketOverhead + blockLen + FrameGroupEndLen
+}
+
 // Frame is one decoded stream frame.
 type Frame struct {
 	Mark byte
@@ -174,20 +209,48 @@ type Frame struct {
 	Checksum uint32
 }
 
-// Reader decodes AdOC messages from an io.Reader. It performs its own
-// buffering of frame headers but reads payloads directly, so it never
-// consumes bytes beyond the frames it has returned... within a message.
-// (All traffic on an AdOC descriptor is AdOC-framed, as in the C library,
-// so read-ahead across frames inside one message is safe; Reader still
-// avoids it to keep ping-pong latency predictable.)
+// Len is the frame's size on the wire.
+func (f Frame) Len() int {
+	switch f.Mark {
+	case MarkGroupBegin:
+		return FrameGroupBeginLen
+	case MarkPacket:
+		return FramePacketOverhead + len(f.Payload)
+	case MarkGroupEnd:
+		return FrameGroupEndLen
+	}
+	return FrameMsgEndLen
+}
+
+// Reader decodes AdOC messages from an io.Reader.
+//
+// A Reader from NewReader reads exactly the bytes of the frames it
+// returns, so whoever reads r next (the engine, after a handshake) finds
+// the stream where the frame ended. A Reader from NewReaderSize reads
+// ahead through a buffer of its own: one read system call then brings in
+// several frame headers and payloads instead of one per header field. It
+// consumes bytes beyond the frames it has returned, which is safe only
+// when it owns the connection: all traffic on an AdOC descriptor is
+// AdOC-framed, as in the C library, and the engine reads it through one
+// Reader. Read-ahead does not delay ping-pong traffic: a buffer refill is
+// one read that returns as soon as any bytes are available, never
+// waiting for the buffer to fill, and the rest of a payload that the
+// buffer does not hold is read straight into its destination when it is
+// at least as large as the buffer.
 type Reader struct {
 	r       io.Reader
 	scratch [16]byte
 	packet  []byte // reusable packet payload buffer
 }
 
-// NewReader returns a frame decoder reading from r.
+// NewReader returns a frame decoder reading from r with no read-ahead.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+
+// NewReaderSize returns a frame decoder that owns r and reads ahead
+// through a buffer of size bytes.
+func NewReaderSize(r io.Reader, size int) *Reader {
+	return &Reader{r: bufio.NewReaderSize(r, size)}
+}
 
 // ReadMsgHeader reads and validates a message header.
 func (d *Reader) ReadMsgHeader() (MsgHeader, error) {

@@ -293,3 +293,35 @@ func TestFrameOverheadSmall(t *testing.T) {
 		t.Fatalf("packet overhead = %d bytes", over)
 	}
 }
+
+// TestAppendGroupFrames: AppendGroup writes exactly GroupLen bytes, and a
+// buffered Reader decodes them back into the block's packets, whatever
+// the block's size against the packet size.
+func TestAppendGroupFrames(t *testing.T) {
+	const packet = 100
+	for _, n := range []int{0, 1, packet - 1, packet, packet + 1, 10 * packet} {
+		block := bytes.Repeat([]byte{7}, n)
+		msg := AppendGroup(nil, 3, block, packet, 2*n, 42)
+		if len(msg) != GroupLen(n, packet) {
+			t.Fatalf("%d-byte block: %d wire bytes, GroupLen %d", n, len(msg), GroupLen(n, packet))
+		}
+		r := NewReaderSize(bytes.NewReader(msg), 64)
+		var got []byte
+		for {
+			f, err := r.ReadFrame()
+			if err != nil {
+				t.Fatalf("%d-byte block: %v", n, err)
+			}
+			got = append(got, f.Payload...)
+			if len(f.Payload) > packet {
+				t.Fatalf("%d-byte block: packet of %d bytes", n, len(f.Payload))
+			}
+			if f.Mark == MarkGroupEnd {
+				if f.RawLen != 2*n || f.Checksum != 42 || !bytes.Equal(got, block) {
+					t.Fatalf("%d-byte block: group end %+v, %d payload bytes", n, f, len(got))
+				}
+				break
+			}
+		}
+	}
+}
