@@ -224,9 +224,16 @@ func TestTraceContextCrossesSession(t *testing.T) {
 		t.Fatal("payload corrupted")
 	}
 
+	// The client's engine records its wire span when its Write returns,
+	// which can be after the server already has the bytes: wait for it.
 	issued := map[uint64]bool{}
-	for _, s := range cliT.Spans(0, 0) {
-		issued[s.TraceID] = true
+	for deadline := time.Now().Add(5 * time.Second); len(issued) == 0 && time.Now().Before(deadline); {
+		for _, s := range cliT.Spans(0, 0) {
+			issued[s.TraceID] = true
+		}
+		if len(issued) == 0 {
+			time.Sleep(time.Millisecond)
+		}
 	}
 	if len(issued) == 0 {
 		t.Fatal("client tracer issued no spans")

@@ -69,7 +69,7 @@ func FuzzReadResponse(f *testing.F) {
 	var plain, failed, ext bytes.Buffer
 	writeResponse(&plain, CodeOK, "", results)
 	writeResponse(&failed, CodeUnknownMethod, "no such method", nil)
-	section := appendResultsSection(nil, results)
+	section := appendFrames(nil, results)
 	writeResponseDelta(&ext, CodeOK, "", dflagDelta, 9, 8, deltaEncode(nil, section, section))
 	f.Add(plain.Bytes())
 	f.Add(failed.Bytes())
@@ -95,7 +95,7 @@ func FuzzReadResponse(f *testing.F) {
 		var res [][]byte
 		checkAlloc(t, len(data), func() { res, err = parseResultsSection(data) })
 		if err == nil {
-			if again := appendResultsSection(nil, res); !bytes.Equal(again, data) {
+			if again := appendFrames(nil, res); !bytes.Equal(again, data) {
 				t.Fatalf("results section re-encodes to %x, parsed from %x", again, data)
 			}
 		}

@@ -106,48 +106,68 @@ func readFrameBody(r io.Reader, n uint32) ([]byte, error) {
 	return p, nil
 }
 
-func readCount(r io.Reader, what string) (int, error) {
+// framesLen is the wire size of count(4) frame(p)...
+func framesLen(frames [][]byte) int {
+	n := 4
+	for _, p := range frames {
+		n += 4 + len(p)
+	}
+	return n
+}
+
+// appendFrames appends count(4) frame(p)...: a request's arguments, or a
+// response's results section — the portion of a response the delta
+// extension caches and delta-encodes as a unit.
+func appendFrames(dst []byte, frames [][]byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(frames)))
+	for _, p := range frames {
+		dst = appendFrame(dst, p)
+	}
+	return dst
+}
+
+// readFrames reads count(4) frame(p)... as appendFrames writes it; what
+// names the frames in errors.
+func readFrames(r io.Reader, what string) ([][]byte, error) {
 	var cnt [4]byte
 	if _, err := io.ReadFull(r, cnt[:]); err != nil {
-		return 0, err
+		return nil, err
 	}
 	n := binary.BigEndian.Uint32(cnt[:])
 	if n > maxArgs {
-		return 0, fmt.Errorf("adocrpc: %d %s is not plausible", n, what)
+		return nil, fmt.Errorf("adocrpc: %d %s is not plausible", n, what)
 	}
-	return int(n), nil
+	frames := make([][]byte, n)
+	for i := range frames {
+		var err error
+		if frames[i], err = readFrame(r); err != nil {
+			return nil, err
+		}
+	}
+	return frames, nil
 }
 
-func appendRequest(buf []byte, method string, args [][]byte) []byte {
+// requestBuf returns frame(method) argc(4) frame(arg)... behind head
+// bytes that the caller fills in, in one allocation.
+func requestBuf(head int, method string, args [][]byte) []byte {
+	buf := make([]byte, head, head+4+len(method)+framesLen(args))
 	buf = appendFrame(buf, []byte(method))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(args)))
-	for _, a := range args {
-		buf = appendFrame(buf, a)
-	}
-	return buf
+	return appendFrames(buf, args)
 }
 
 // writeRequest sends method(args) as one Write.
 func writeRequest(w io.Writer, method string, args [][]byte) error {
-	size := 4 + len(method) + 4
-	for _, a := range args {
-		size += 4 + len(a)
-	}
-	_, err := w.Write(appendRequest(make([]byte, 0, size), method, args))
+	_, err := w.Write(requestBuf(0, method, args))
 	return err
 }
 
 // writeRequestDelta sends an extended request announcing the newest
 // cached response section for this method (baseSeq 0 when none).
 func writeRequestDelta(w io.Writer, method string, args [][]byte, baseSeq uint64) error {
-	size := 4 + 8 + 4 + len(method) + 4
-	for _, a := range args {
-		size += 4 + len(a)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.BigEndian.AppendUint32(buf, deltaMagic)
-	buf = binary.BigEndian.AppendUint64(buf, baseSeq)
-	_, err := w.Write(appendRequest(buf, method, args))
+	buf := requestBuf(4+8, method, args)
+	binary.BigEndian.PutUint32(buf, deltaMagic)
+	binary.BigEndian.PutUint64(buf[4:], baseSeq)
+	_, err := w.Write(buf)
 	return err
 }
 
@@ -180,15 +200,8 @@ func readRequest(r io.Reader) (method string, args [][]byte, baseSeq uint64, ext
 	if err != nil {
 		return "", nil, baseSeq, ext, err
 	}
-	cnt, err := readCount(r, "arguments")
-	if err != nil {
+	if args, err = readFrames(r, "arguments"); err != nil {
 		return "", nil, baseSeq, ext, err
-	}
-	args = make([][]byte, cnt)
-	for i := range args {
-		if args[i], err = readFrame(r); err != nil {
-			return "", nil, baseSeq, ext, err
-		}
 	}
 	return string(m), args, baseSeq, ext, nil
 }
@@ -196,26 +209,12 @@ func readRequest(r io.Reader) (method string, args [][]byte, baseSeq uint64, ext
 // writeResponse sends a success (CodeOK plus results) or a typed failure
 // as one Write.
 func writeResponse(w io.Writer, code Code, msg string, results [][]byte) error {
-	size := 1 + 4 + len(msg) + 4
-	for _, res := range results {
-		size += 4 + len(res)
-	}
-	buf := make([]byte, 0, size)
+	buf := make([]byte, 0, 1+4+len(msg)+framesLen(results))
 	buf = append(buf, byte(code))
 	buf = appendFrame(buf, []byte(msg))
-	buf = appendResultsSection(buf, results)
+	buf = appendFrames(buf, results)
 	_, err := w.Write(buf)
 	return err
-}
-
-// appendResultsSection appends resultc(4) frame(result)... — the portion
-// of a response the delta extension caches and delta-encodes as a unit.
-func appendResultsSection(dst []byte, results [][]byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(results)))
-	for _, res := range results {
-		dst = appendFrame(dst, res)
-	}
-	return dst
 }
 
 // parseResultsSection decodes a results section back into result slices.
@@ -223,15 +222,9 @@ func appendResultsSection(dst []byte, results [][]byte) []byte {
 // results (the package API already hands callers fresh sections).
 func parseResultsSection(b []byte) ([][]byte, error) {
 	r := bytes.NewReader(b)
-	n, err := readCount(r, "results")
+	results, err := readFrames(r, "results")
 	if err != nil {
 		return nil, err
-	}
-	results := make([][]byte, n)
-	for i := range results {
-		if results[i], err = readFrame(r); err != nil {
-			return nil, err
-		}
 	}
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("adocrpc: %d trailing bytes after results section", r.Len())
@@ -303,15 +296,9 @@ func readResponse(r io.Reader) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := readCount(r, "results")
+	results, err := readFrames(r, "results")
 	if err != nil {
 		return nil, err
-	}
-	results := make([][]byte, n)
-	for i := range results {
-		if results[i], err = readFrame(r); err != nil {
-			return nil, err
-		}
 	}
 	if code := Code(codeByte[0]); code != CodeOK {
 		return nil, &RemoteError{Code: code, Msg: string(msg)}

@@ -268,7 +268,7 @@ func (s *Server) serveConn(raw net.Conn) {
 				}
 				_, _, _, ext, _ := readRequest(st)
 				if ext {
-					writeResponseDelta(st, CodeShutdown, "server draining", 0, 0, 0, appendResultsSection(nil, nil))
+					writeResponseDelta(st, CodeShutdown, "server draining", 0, 0, 0, appendFrames(nil, nil))
 				} else {
 					writeResponse(st, CodeShutdown, "server draining", nil)
 				}
@@ -344,7 +344,7 @@ func (s *Server) serveStream(st *adocmux.Stream) {
 // ships as a delta, otherwise plain. Failures carry seq 0 ("do not
 // cache") and an empty section.
 func (s *Server) respondDelta(st *adocmux.Stream, method string, baseSeq uint64, code Code, msg string, results [][]byte) {
-	section := appendResultsSection(nil, results)
+	section := appendFrames(nil, results)
 	if code != CodeOK {
 		writeResponseDelta(st, code, msg, 0, 0, 0, section)
 		return

@@ -113,19 +113,12 @@ type Transition struct {
 type Config struct {
 	Min, Max codec.Level
 	Clock    clock.Clock
-	// PinPackets is the incompressible-guard pin length in packets.
-	PinPackets int
-	// EWMAAlpha weights new per-level bandwidth samples.
-	EWMAAlpha float64
 	// Codecs restricts levels to those whose codec both endpoints can run
 	// (the handshake-negotiated capability set). Zero means every codec in
 	// the default registry. Levels whose codec is missing are skipped the
 	// way forbidden levels are: the controller steps down to the nearest
 	// allowed one.
 	Codecs codec.Mask
-	// BypassRunPin is the consecutive-bypass run length that pins the
-	// level to the minimum (0 = DefaultBypassRunPin).
-	BypassRunPin int
 	// DisableDivergenceGuard turns off the per-level bandwidth
 	// comparison (for the ablation experiment).
 	DisableDivergenceGuard bool
@@ -145,17 +138,8 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = clock.System
 	}
-	if c.PinPackets == 0 {
-		c.PinPackets = DefaultPinPackets
-	}
-	if c.EWMAAlpha == 0 {
-		c.EWMAAlpha = DefaultEWMAAlpha
-	}
 	if c.Codecs == 0 {
 		c.Codecs = codec.AllMask()
-	}
-	if c.BypassRunPin == 0 {
-		c.BypassRunPin = DefaultBypassRunPin
 	}
 	return c
 }
@@ -320,7 +304,7 @@ func (c *Controller) LevelForNextBuffer(queueLen int) codec.Level {
 	// Incompressible pin overrides everything else, as does an entropy
 	// bypass run: a level that keeps losing to the raw-copy fast path is
 	// not worth asking for until the content run ends.
-	if c.pinRemaining > 0 || c.bypassRun >= c.cfg.BypassRunPin {
+	if c.pinRemaining > 0 || c.bypassRun >= DefaultBypassRunPin {
 		if next != c.cfg.Min {
 			if c.pinRemaining > 0 {
 				cause = CausePin
@@ -360,14 +344,13 @@ func (c *Controller) RecordDelivery(level codec.Level, rawBytes int, d time.Dura
 		r.bps = bps
 		return
 	}
-	a := c.cfg.EWMAAlpha
-	r.bps = a*bps + (1-a)*r.bps
+	r.bps = DefaultEWMAAlpha*bps + (1-DefaultEWMAAlpha)*r.bps
 }
 
 // NotePacketRatio feeds the incompressible-data guard: a packet carrying
 // rawLen bytes of user data was emitted as compLen wire bytes at the given
 // level. When the gain falls below DefaultMinGainRatio the level is pinned
-// to the minimum for the next PinPackets packets. It reports whether
+// to the minimum for the next DefaultPinPackets packets. It reports whether
 // compression of the remaining buffer should be abandoned (paper: "we stop
 // compressing the remaining of the buffer"). Raw (level 0) and empty
 // packets never trigger it.
@@ -380,7 +363,7 @@ func (c *Controller) NotePacketRatio(level codec.Level, rawLen, compLen int) (ab
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.pinRemaining = c.cfg.PinPackets
+	c.pinRemaining = DefaultPinPackets
 	c.pins.Inc()
 	return true
 }
@@ -388,7 +371,7 @@ func (c *Controller) NotePacketRatio(level codec.Level, rawLen, compLen int) (ab
 // NoteEntropyBypass feeds the content-aware fast path back into the
 // control loop: the entropy probe shipped a buffer raw instead of
 // compressing it at the controller's level. Consecutive bypasses
-// accumulate into a run; once the run reaches BypassRunPin,
+// accumulate into a run; once the run reaches DefaultBypassRunPin,
 // LevelForNextBuffer pins to the minimum — the per-content-run analogue
 // of the divergence guard's forbidden set, except it is released by the
 // content itself (the first compressible buffer, via
@@ -400,17 +383,17 @@ func (c *Controller) NoteEntropyBypass() (pinned bool) {
 	defer c.mu.Unlock()
 	c.bypassRun++
 	c.entropyBypasses.Inc()
-	return c.bypassRun == c.cfg.BypassRunPin
+	return c.bypassRun == DefaultBypassRunPin
 }
 
 // NoteCompressibleContent ends the entropy-bypass run: the probe saw a
 // buffer worth compressing, so pinned levels become eligible again. The
 // return reports whether an engaged pin was actually released by this
-// call (the run had reached BypassRunPin).
+// call (the run had reached DefaultBypassRunPin).
 func (c *Controller) NoteCompressibleContent() (released bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	released = c.bypassRun >= c.cfg.BypassRunPin
+	released = c.bypassRun >= DefaultBypassRunPin
 	c.bypassRun = 0
 	return released
 }
@@ -485,8 +468,8 @@ type Snapshot struct {
 	// holds the level at the minimum (0 = pin inactive).
 	PinRemaining int
 	// BypassRun is the current consecutive-entropy-bypass run length;
-	// at BypassRunPin and above the level is pinned to the minimum until
-	// compressible content returns.
+	// at DefaultBypassRunPin and above the level is pinned to the minimum
+	// until compressible content returns.
 	BypassRun int
 	// Codecs is the active codec capability set (negotiated, or the full
 	// registry when nothing restricted it).

@@ -195,7 +195,7 @@ func TestDivergenceGuardDisabled(t *testing.T) {
 
 func TestIncompressibleGuardPins(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
-	c := New(Config{Min: 0, Max: 10, Clock: clk, PinPackets: 10})
+	c := New(Config{Min: 0, Max: 10, Clock: clk})
 	c.LevelForNextBuffer(15)
 	c.LevelForNextBuffer(16)
 	if c.Level() != 1 {
@@ -249,7 +249,7 @@ func TestIncompressibleGuardDisabled(t *testing.T) {
 }
 
 func TestRecordDeliveryEWMA(t *testing.T) {
-	c := New(Config{Min: 0, Max: 10, Clock: clock.NewManual(time.Unix(0, 0)), EWMAAlpha: 0.5})
+	c := New(Config{Min: 0, Max: 10, Clock: clock.NewManual(time.Unix(0, 0))})
 	c.RecordDelivery(3, 1000, time.Second) // 1000 B/s
 	c.RecordDelivery(3, 3000, time.Second) // EWMA: 0.5*3000 + 0.5*1000 = 2000
 	bps, ok := c.Bandwidth(3)

@@ -203,8 +203,7 @@ func runManyConns(conns, msgs int, seed int64) (manyConnsResult, error) {
 
 	// Phase 2 — active: every connection stalled mid-message, so each
 	// full send pipeline (emitter, reassembly) and receive pipeline
-	// (reception loop, assembler, collector) is stood up and blocked in
-	// its steady state. This is the shape a burst of large transfers
+	// (reception goroutine) is stood up and blocked in its steady state. This is the shape a burst of large transfers
 	// pins, and where per-engine worker goroutines used to multiply.
 	stallLen := 3 * manyConnsBufSize
 	payload := datagen.ASCII(stallLen, seed)

@@ -6,9 +6,10 @@ import "testing"
 // and in CI's resource-budget job (1000 conns from the bench artifact).
 // Idle: one handler goroutine per connection plus measurement slack —
 // nothing else may survive between messages. Active: two application
-// goroutines (sender, handler) plus the five engine pipeline goroutines
-// per stalled connection; before the shared worker pool this was ~15, with
-// Parallelism=4 workers spawned per direction per message.
+// goroutines (sender, handler) plus the three engine pipeline goroutines
+// (emitter and reassembly on the send side, reception on the receive
+// side) per stalled connection; before the shared worker pool this was
+// ~15, with Parallelism=4 workers spawned per direction per message.
 const (
 	budgetIdlePerConn   = 2.0
 	budgetActivePerConn = 8.0

@@ -430,7 +430,8 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.handle.Unregister()
-	// Unblock a reception goroutine waiting on a full frame queue.
+	// Stop a reception goroutine waiting on a full window and a reader
+	// waiting on a group.
 	e.abortCurrentStream(ErrClosed)
 	if c, ok := e.rw.(io.Closer); ok {
 		return c.Close()
@@ -441,8 +442,9 @@ func (e *Engine) Close() error {
 // abortCurrentStream aborts the active receive pipeline, if any, without
 // taking rmu (Close must not wait for a blocked Read).
 func (e *Engine) abortCurrentStream(err error) {
-	// cur is written under rmu; reading it racily here is acceptable
-	// because Abort is idempotent and the queues outlive the stream.
+	// cur is written under rmu; reading it without rmu here is acceptable
+	// because abort is idempotent and the stream state outlives the
+	// stream.
 	if st := e.loadCur(); st != nil {
 		st.abort(err)
 	}

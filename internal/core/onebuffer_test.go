@@ -159,8 +159,9 @@ func (c *watchedConn) Write(p []byte) (int, error) { c.wr.note(); return c.w.Wri
 // TestOneBufferMessageOneWriteNoGoroutines: a stream message of at most
 // one buffer costs the sender one Write, made on the caller's goroutine
 // with no goroutine started, and the receiver reads it on the caller's
-// goroutine too, starting none. A two-buffer message, for contrast, is
-// read by the pipeline's reception goroutine.
+// goroutine too, starting none. A message of two or eight buffers, for
+// contrast, is read by the pipeline's one reception goroutine, and no
+// other goroutine starts besides the shared pool's workers.
 func TestOneBufferMessageOneWriteNoGoroutines(t *testing.T) {
 	for _, lvl := range []codec.Level{0, codec.LZF, 6} {
 		for _, n := range []int{1, DefaultPacketSize + 1, 64 << 10, DefaultBufferSize} {
@@ -199,26 +200,33 @@ func TestOneBufferMessageOneWriteNoGoroutines(t *testing.T) {
 		}
 	}
 
-	var wireBuf bytes.Buffer
-	se, err := New(&rawConn{Reader: bytes.NewReader(nil), w: &wireBuf}, oneBufferOptions(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer se.Close()
-	if _, err := se.WriteMessageLevels(incompressibleData(2*DefaultBufferSize, 1), 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	recv := &watchedConn{r: &wireBuf, rd: callSite{owner: goroutineID()}}
-	re, err := New(recv, oneBufferOptions(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if _, err := re.ReceiveMessage(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if recv.rd.foreign == 0 {
-		t.Fatal("a two-buffer message was read on the caller's goroutine; want the reception goroutine")
+	warmWorkerPool()
+	for _, buffers := range []int{2, 8} {
+		var wireBuf bytes.Buffer
+		se, err := New(&rawConn{Reader: bytes.NewReader(nil), w: &wireBuf}, oneBufferOptions(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := se.WriteMessageLevels(incompressibleData(buffers*DefaultBufferSize, 1), 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		se.Close()
+		recv := &watchedConn{r: &wireBuf, rd: callSite{owner: goroutineID()}}
+		re, err := New(recv, oneBufferOptions(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		if _, err := re.ReceiveMessage(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		re.Close()
+		if recv.rd.foreign == 0 {
+			t.Fatalf("a %d-buffer message was read on the caller's goroutine; want the reception goroutine", buffers)
+		}
+		if added := recv.rd.goroutines - before; added > 1 {
+			t.Fatalf("a %d-buffer message added %d goroutines while it was read; want 1", buffers, added)
+		}
 	}
 }
 

@@ -45,10 +45,10 @@ const (
 	// compared with the connection's link estimate. Only a message whose
 	// minimum level is 0 takes this raw bypass.
 	DefaultFastCutoffBps = 500e6 / 8
-	// DefaultQueueCapacity bounds the emission FIFO (and the receive
-	// frame queue) in packets. The paper leaves the queue unbounded; 256
-	// packets (2 MB) is far above the n>=30 "very large" band, so the
-	// control law never sees the bound.
+	// DefaultQueueCapacity bounds the emission FIFO in packets; it is the
+	// send side's only FIFO, and the receive side has none. The paper
+	// leaves the queue unbounded; 256 packets (2 MB) is far above the
+	// n>=30 "very large" band, so the control law never sees the bound.
 	DefaultQueueCapacity = 256
 	// DefaultFlushInterval is how much raw data is fed to a streaming
 	// compressor between flushes — the granularity at which compressed

@@ -3,8 +3,9 @@
 // level as it submits the buffer; pool workers compress buffers; an
 // in-order reassembly stage feeds the emission goroutine's packet FIFO,
 // so the wire stream keeps buffer order and framing whatever order the
-// workers finish in. The receive side mirrors this with pool
-// decompression behind the same in-order delivery guarantee.
+// workers finish in. The receive side mirrors this without a FIFO: its
+// reception goroutine hands each group to the pool and queues the group's
+// result channel in wire order for the reader (recv.go).
 //
 // Parallelism is the engine's in-flight window — how many adaptation
 // buffers (or receive groups) it may have submitted at once — not a
@@ -223,7 +224,7 @@ func (e *Engine) sendPipeline(src io.Reader, remaining int64) (delivered, wireBy
 }
 
 // decResult is one decoded group, the message-end marker, or the error
-// that ends the stream, delivered in wire order to the consumer. doneAt,
+// that ends the stream, taken in wire order by the receive step. doneAt,
 // when set, is the instant the group's decompression finished; the gap
 // until the consumer takes it is the in-order delivery wait.
 type decResult struct {
@@ -268,76 +269,4 @@ func (e *Engine) decodeGroupTraced(g completedGroup) decResult {
 		r.level = int(g.level)
 	}
 	return r
-}
-
-// runDecodePipeline is the receive-side mirror of sendPipeline: an
-// assembler goroutine pops frames from the reception FIFO and rebuilds
-// groups, the shared worker pool decompresses groups (at most Parallelism
-// of this engine's groups in flight), and a collector delivers decoded
-// groups to st.decoded strictly in wire order. Groups decoded before a
-// failure are delivered first, then the error.
-func (e *Engine) runDecodePipeline(st *streamState) {
-	order := make(chan chan decResult, e.opts.Parallelism)
-
-	go func() {
-		failed := false
-		for rc := range order {
-			r := <-rc
-			if failed {
-				continue
-			}
-			if r.err != nil {
-				failed = true
-				st.decoded.CloseSendWithError(r.err)
-			} else if st.decoded.Push(r) != nil {
-				failed = true
-			}
-		}
-		if !failed {
-			st.decoded.CloseSend()
-		}
-	}()
-
-	// deliver threads a result (or terminal condition) through the order
-	// channel so it surfaces only after every group dispatched before it.
-	deliver := func(r decResult) {
-		rc := make(chan decResult, 1)
-		rc <- r
-		order <- rc
-	}
-	asm := newGroupAssembler(st.total, false)
-	for {
-		fr, err := st.frames.Pop()
-		if err == io.EOF {
-			// The queue drained after MsgEnd was already consumed; a
-			// well-formed stream never gets here.
-			deliver(decResult{err: io.ErrUnexpectedEOF})
-			break
-		}
-		if err != nil {
-			deliver(decResult{err: err})
-			break
-		}
-		g, end, ferr := asm.feed(fr)
-		if fr.payload != nil {
-			// feed copied the payload into the group block; the frame's
-			// pooled buffer is free again.
-			bufpool.Put(fr.payload)
-		}
-		if ferr != nil {
-			deliver(decResult{err: ferr})
-			break
-		}
-		if end {
-			deliver(decResult{end: true})
-			break
-		}
-		if g != nil {
-			grp := *g
-			rc := make(chan decResult, 1)
-			order <- rc
-			defaultPool.Submit(func() { rc <- e.decode(grp) })
-		}
-	}
-	close(order)
 }

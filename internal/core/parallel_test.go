@@ -292,6 +292,93 @@ func TestParallelCloseUnblocks(t *testing.T) {
 	}
 }
 
+// warmWorkerPool starts the shared pool's workers, which are
+// process-lifetime and so not part of any test's goroutine accounting.
+func warmWorkerPool() {
+	warmed := make(chan struct{})
+	DefaultWorkerPool().Submit(func() { close(warmed) })
+	<-warmed
+}
+
+// blockedWriter holds every Write until release is closed.
+type blockedWriter struct {
+	entered chan struct{}
+	once    sync.Once
+	release chan struct{}
+}
+
+func (w *blockedWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestParallelCloseFullWindow: a ReceiveMessage stuck delivering its first
+// group stops taking groups, so the reception goroutine fills the
+// Parallelism window and waits. Close must end the receive with ErrClosed
+// and leave no goroutine behind.
+func TestParallelCloseFullWindow(t *testing.T) {
+	o := DefaultOptions()
+	o.Parallelism = 4
+	raw := compressibleData(4096)
+	blk, used, err := codec.Compress(3, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg []byte
+	msg = wire.AppendStreamHeader(msg, wire.UnknownTotal)
+	for i := 0; i < 4*o.Parallelism; i++ {
+		msg = wire.AppendGroupBegin(msg, used)
+		msg = wire.AppendPacket(msg, blk)
+		msg = wire.AppendGroupEnd(msg, len(raw), adler32.Checksum(raw))
+	}
+
+	warmWorkerPool()
+	before := runtime.NumGoroutine()
+	c1, c2 := net.Pipe()
+	e, err := New(c2, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go c1.Write(msg) // never ends the message; fails once c2 closes
+	w := &blockedWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	recvErr := make(chan error, 1)
+	go func() {
+		_, err := e.ReceiveMessage(w)
+		recvErr <- err
+	}()
+	<-w.entered
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if st := e.loadCur(); st != nil && len(st.order) == cap(st.order) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the receive window never filled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(w.release)
+	select {
+	case err := <-recvErr:
+		if err != ErrClosed {
+			t.Fatalf("ReceiveMessage returned %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ReceiveMessage still blocked after Close")
+	}
+	c1.Close()
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines left after Close", n-before)
+	}
+}
+
 // TestParallelismSanitize checks the option defaulting contract.
 func TestParallelismSanitize(t *testing.T) {
 	var o Options
@@ -338,11 +425,7 @@ func TestReceiveMessageErrorReleasesPipeline(t *testing.T) {
 	}
 	msg = wire.AppendMsgEnd(msg)
 
-	// The shared pool's workers are process-lifetime, not part of this
-	// test's leak accounting: start them before taking the baseline.
-	warmed := make(chan struct{})
-	DefaultWorkerPool().Submit(func() { close(warmed) })
-	<-warmed
+	warmWorkerPool()
 	before := runtime.NumGoroutine()
 	e, err := New(&rawConn{Reader: bytes.NewReader(msg)}, o)
 	if err != nil {

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 	"time"
 
 	"adoc/internal/codec"
 	"adoc/internal/core/bufpool"
-	"adoc/internal/fifo"
 	"adoc/internal/obs"
 	"adoc/internal/wire"
 )
@@ -22,25 +22,27 @@ const (
 	smallReadStep = 1 << 20
 )
 
-// recvFrame is a decoded frame with its payload copied out of the wire
-// reader's scratch buffer, as stored in the reception FIFO.
-type recvFrame struct {
-	mark     byte
-	level    codec.Level
-	payload  []byte
-	rawLen   int
-	checksum uint32
-}
-
-// streamState is the receive pipeline for one in-progress stream message:
-// a reception goroutine (the paper's reception thread) pushes frames into
-// a bounded FIFO; the decode pipeline (assembler, worker pool, in-order
-// collector) turns them into groups, and decoded holds its output for the
-// receive step. total is the raw size the header declared.
+// streamState is the receive pipeline of one in-progress multi-buffer
+// stream message. Its reception goroutine (the paper's reception thread)
+// queues on order one result channel per group, in wire order, then reads
+// the group and submits it to the shared worker pool, which decodes it
+// into that channel. The message end or the error that ends the message
+// goes into the last channel, behind every earlier group. The receive
+// step takes the channels from order and their results in turn.
 type streamState struct {
-	frames  *fifo.Queue[recvFrame]
-	decoded *fifo.Queue[decResult]
-	total   uint64
+	// order holds the results the reception goroutine has claimed ahead
+	// of the reader; its capacity, Parallelism, is the engine's receive
+	// window.
+	order chan chan decResult
+	// head is a result taken from order that was not ready yet, and err
+	// the sticky error that ended the message; both are the reader's.
+	head chan decResult
+	err  error
+	// done is closed once, after cause is set, when Close or dropStream
+	// abandons the message.
+	done  chan struct{}
+	once  sync.Once
+	cause error
 }
 
 // oneBufferMsg is a stream message whose declared size fits one
@@ -52,8 +54,8 @@ type oneBufferMsg struct {
 	active bool
 	asm    groupAssembler
 	span   groupSpan
-	// err is sticky, as the pipeline's decoded queue is: every later call
-	// returns it until the message is dropped.
+	// err is sticky, as the pipeline's is: every later call returns it
+	// until the message is dropped.
 	err error
 	// held is the pooled block behind the span delivered last, returned
 	// at the start of the next receive step.
@@ -117,14 +119,14 @@ func (a *groupAssembler) blockLimit() (int, error) {
 // group, the message-end signal, or a framing error; all unset means
 // mid-group progress. A packet payload is copied; the frame may be
 // reused once feed returns.
-func (a *groupAssembler) feed(fr recvFrame) (g *completedGroup, end bool, err error) {
-	switch fr.mark {
+func (a *groupAssembler) feed(fr wire.Frame) (g *completedGroup, end bool, err error) {
+	switch fr.Mark {
 	case wire.MarkGroupBegin:
 		if a.inGroup {
 			return nil, false, fmt.Errorf("%w: nested group", wire.ErrBadFrame)
 		}
 		a.inGroup = true
-		a.level = fr.level
+		a.level = fr.Level
 		if a.pooled {
 			limit, _ := a.blockLimit()
 			a.block = bufpool.Get(limit)[:0]
@@ -134,28 +136,28 @@ func (a *groupAssembler) feed(fr recvFrame) (g *completedGroup, end bool, err er
 			return nil, false, fmt.Errorf("%w: packet outside group", wire.ErrBadFrame)
 		}
 		limit, lerr := a.blockLimit()
-		if len(a.block)+len(fr.payload) > limit {
+		if len(a.block)+len(fr.Payload) > limit {
 			return nil, false, fmt.Errorf("%w: group block over %d bytes", lerr, limit)
 		}
-		if cap(a.block)-len(a.block) < len(fr.payload) {
+		if cap(a.block)-len(a.block) < len(fr.Payload) {
 			// Double, up to the limit: a block costs at most about twice
 			// its final size in allocations, where append's gentler
 			// growth of large slices costs five times.
-			a.block = slices.Grow(a.block, min(max(len(fr.payload), len(a.block)), limit-len(a.block)))
+			a.block = slices.Grow(a.block, min(max(len(fr.Payload), len(a.block)), limit-len(a.block)))
 		}
-		a.block = append(a.block, fr.payload...)
+		a.block = append(a.block, fr.Payload...)
 	case wire.MarkGroupEnd:
 		if !a.inGroup {
 			return nil, false, fmt.Errorf("%w: group end outside group", wire.ErrBadFrame)
 		}
 		if a.left != wire.UnknownTotal {
-			if uint64(fr.rawLen) > a.left {
+			if uint64(fr.RawLen) > a.left {
 				return nil, false, fmt.Errorf("%w: groups carry more raw bytes than the message declared", wire.ErrBadFrame)
 			}
-			a.left -= uint64(fr.rawLen)
+			a.left -= uint64(fr.RawLen)
 		}
 		a.inGroup = false
-		g = &completedGroup{level: a.level, block: a.block, rawLen: fr.rawLen, sum: fr.checksum}
+		g = &completedGroup{level: a.level, block: a.block, rawLen: fr.RawLen, sum: fr.Checksum}
 		a.block = nil // the group owns its block from here on
 		return g, false, nil
 	case wire.MarkMsgEnd:
@@ -164,7 +166,7 @@ func (a *groupAssembler) feed(fr recvFrame) (g *completedGroup, end bool, err er
 		}
 		return nil, true, nil
 	default:
-		return nil, false, fmt.Errorf("%w: marker %d", wire.ErrBadFrame, fr.mark)
+		return nil, false, fmt.Errorf("%w: marker %d", wire.ErrBadFrame, fr.Mark)
 	}
 	return nil, false, nil
 }
@@ -177,54 +179,102 @@ func (a *groupAssembler) release() {
 	a.block = nil
 }
 
-// abort terminates the stream's queues so blocked producers and consumers
-// unblock with err.
-func (st *streamState) abort(err error) {
-	st.frames.Abort(err)
-	st.decoded.Abort(err)
+// abort abandons the stream message with cause: the reception goroutine
+// stops before it claims another result, and a waiting reader returns
+// cause.
+func (st *streamState) abort(cause error) {
+	st.once.Do(func() {
+		st.cause = cause
+		close(st.done)
+	})
 }
 
-// startStream launches the reception thread and the decode pipeline for a
-// stream message declaring total raw bytes.
+// startStream starts the reception goroutine of a multi-buffer stream
+// message declaring total raw bytes.
 func (e *Engine) startStream(total uint64) *streamState {
 	st := &streamState{
-		frames:  fifo.New[recvFrame](DefaultQueueCapacity),
-		decoded: fifo.New[decResult](2 * e.opts.Parallelism),
-		total:   total,
+		order: make(chan chan decResult, e.opts.Parallelism),
+		done:  make(chan struct{}),
 	}
-	go e.runDecodePipeline(st)
-	go e.receiveLoop(st)
+	go e.receiveStream(st, total)
 	return st
 }
 
-// receiveLoop is the reception thread: it reads frames off the socket and
-// queues them until the message ends or the connection fails. Overlapping
-// this read loop with decompression in the consumer is the receiver half
-// of the paper's compression/communication overlap.
-func (e *Engine) receiveLoop(st *streamState) {
+// receiveStream is the reception thread: it claims a result on order,
+// reads the next group into it and hands the group to a pool worker to
+// decode, until the message ends, fails, or is abandoned. Reading group
+// i+1 while a worker decodes group i is the receiver half of the paper's
+// compression/communication overlap. Raw groups alias their blocks, so
+// the blocks are not pooled.
+func (e *Engine) receiveStream(st *streamState, total uint64) {
+	asm := newGroupAssembler(total, false)
 	var span groupSpan
+	for {
+		rc := make(chan decResult, 1)
+		select {
+		case st.order <- rc:
+		case <-st.done:
+			return
+		}
+		g, err := e.readGroup(&asm, &span)
+		if g == nil {
+			rc <- decResult{end: err == nil, err: err}
+			return
+		}
+		defaultPool.Submit(func() { rc <- e.decode(*g) })
+	}
+}
+
+// ready reports whether the next result can be taken without waiting.
+// Only the reader receives from order and head, so a result it sees
+// stays there.
+func (st *streamState) ready() bool {
+	if st.head == nil {
+		if len(st.order) == 0 {
+			return false
+		}
+		st.head = <-st.order
+	}
+	return len(st.head) > 0
+}
+
+// take waits for the next result in wire order, or returns the cause of
+// an abandoned message.
+func (st *streamState) take() decResult {
+	if st.head == nil {
+		select {
+		case st.head = <-st.order:
+		case <-st.done:
+			return decResult{err: st.cause}
+		}
+	}
+	select {
+	case r := <-st.head:
+		st.head = nil
+		return r
+	case <-st.done:
+		return decResult{err: st.cause}
+	}
+}
+
+// readGroup reads frames until a group completes and returns it, or nil
+// at the message end, or the error that ends the message, releasing the
+// block in assembly. Both receive paths take their groups from it.
+func (e *Engine) readGroup(asm *groupAssembler, span *groupSpan) (*completedGroup, error) {
 	for {
 		f, err := e.dec.ReadFrame()
 		if err != nil {
-			// Frames already queued are valid; deliver them before the
-			// error surfaces.
-			st.frames.CloseSendWithError(err)
-			return
+			asm.release()
+			return nil, err
 		}
-		e.countFrame(f, &span)
-		fr := recvFrame{mark: f.Mark, level: f.Level, rawLen: f.RawLen, checksum: f.Checksum}
-		if f.Mark == wire.MarkPacket {
-			// The copy out of the wire reader's scratch comes from the
-			// shared pool; the consumer recycles it after group assembly.
-			fr.payload = bufpool.Get(len(f.Payload))
-			copy(fr.payload, f.Payload)
+		e.countFrame(f, span)
+		g, end, err := asm.feed(f)
+		if err != nil {
+			asm.release()
+			return nil, err
 		}
-		if err := st.frames.Push(fr); err != nil {
-			return // consumer or Close aborted the queue
-		}
-		if f.Mark == wire.MarkMsgEnd {
-			st.frames.CloseSend()
-			return
+		if g != nil || end {
+			return g, nil
 		}
 	}
 }
@@ -296,32 +346,27 @@ func (e *Engine) next(block bool) (span []byte, end bool, err error) {
 		}
 		return e.nextOneBuffer()
 	}
-	for {
-		var g decResult
-		if block {
-			if g, err = st.decoded.Pop(); err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			if err != nil {
-				return nil, false, err
-			}
-		} else {
-			var ok bool
-			if g, ok = st.decoded.TryPop(); !ok {
-				return nil, false, nil
-			}
+	for st.err == nil {
+		if !block && !st.ready() {
+			return nil, false, nil
 		}
-		if g.end {
+		r := st.take()
+		if r.err != nil {
+			st.err = r.err
+			break
+		}
+		if r.end {
 			e.storeCur(nil)
 			e.stats.msgsReceived.Add(1)
 			return nil, true, nil
 		}
-		e.noteDelivered(g)
-		if len(g.data) > 0 {
-			return g.data, false, nil
+		e.noteDelivered(r)
+		if len(r.data) > 0 {
+			return r.data, false, nil
 		}
 		// An empty group adds nothing to the byte stream.
 	}
+	return nil, false, st.err
 }
 
 // nextOneBuffer is the receive step of a one-buffer stream message: it
@@ -330,25 +375,15 @@ func (e *Engine) next(block bool) (span []byte, end bool, err error) {
 func (e *Engine) nextOneBuffer() ([]byte, bool, error) {
 	m := &e.one
 	for m.err == nil {
-		f, err := e.dec.ReadFrame()
+		g, err := e.readGroup(&m.asm, &m.span)
 		if err != nil {
-			m.fail(err)
+			m.err = err
 			break
 		}
-		e.countFrame(f, &m.span)
-		// feed copies the payload out of the wire reader's scratch.
-		g, end, err := m.asm.feed(recvFrame{mark: f.Mark, level: f.Level, payload: f.Payload, rawLen: f.RawLen, checksum: f.Checksum})
-		if err != nil {
-			m.fail(err)
-			break
-		}
-		if end {
+		if g == nil {
 			e.one = oneBufferMsg{}
 			e.stats.msgsReceived.Add(1)
 			return nil, true, nil
-		}
-		if g == nil {
-			continue
 		}
 		r := e.decode(*g)
 		if r.err == nil && len(r.data) > 0 && g.level == codec.MinLevel {
@@ -366,12 +401,6 @@ func (e *Engine) nextOneBuffer() ([]byte, bool, error) {
 		}
 	}
 	return nil, false, m.err
-}
-
-// fail ends a one-buffer message with err.
-func (m *oneBufferMsg) fail(err error) {
-	m.err = err
-	m.asm.release()
 }
 
 // releaseHeld returns the block behind the span the last receive step
@@ -437,9 +466,9 @@ func (e *Engine) readSmall(h wire.MsgHeader) ([]byte, error) {
 	return p, nil
 }
 
-// dropStream aborts and forgets the in-progress stream message, if any.
-// Abort comes first: the reception goroutine and decode pipeline would
-// otherwise block on full queues forever, unreachable even by Close.
+// dropStream abandons and forgets the in-progress stream message, if any.
+// Abort comes first: the reception goroutine would otherwise wait on a
+// full order channel forever, unreachable even by Close.
 func (e *Engine) dropStream(err error) {
 	if st := e.loadCur(); st != nil {
 		st.abort(err)

@@ -1,8 +1,10 @@
 // Package fifo provides the bounded FIFO queue shared between the AdOC
-// compression and emission threads (paper §3.1). The queue stores packets;
-// its occupancy n and the variation δ of n between level updates are the
-// only signals the adaptive controller uses (paper Figure 2), so the queue
-// exposes them explicitly.
+// compression and emission threads (paper §3.1). It is the send side's
+// only queue; the receive side hands groups to its reader over channels
+// and needs none. The queue stores packets; its occupancy n and the
+// variation δ of n between level updates are the only signals the
+// adaptive controller uses (paper Figure 2), so the queue exposes them
+// explicitly.
 //
 // The queue is bounded so that a stalled link cannot grow sender memory
 // without limit; a blocked producer only ever raises the occupancy signal,
@@ -32,11 +34,8 @@ type Queue[T any] struct {
 	sendClosed bool  // no more pushes; pops drain remaining items
 	aborted    bool  // terminal failure; pops fail immediately
 	err        error // abort cause (nil for clean CloseSend)
-	drainErr   error // deferred error delivered after draining (CloseSendWithError)
 
 	highWater int
-	pushed    int64
-	popped    int64
 }
 
 // New returns an empty queue holding at most capacity items.
@@ -69,7 +68,6 @@ func (q *Queue[T]) Push(v T) error {
 	}
 	q.items[(q.head+q.count)%len(q.items)] = v
 	q.count++
-	q.pushed++
 	if q.count > q.highWater {
 		q.highWater = q.count
 	}
@@ -95,36 +93,14 @@ func (q *Queue[T]) Pop() (T, error) {
 		return zero, ErrClosed
 	}
 	if q.count == 0 {
-		// sendClosed and drained.
-		if q.drainErr != nil {
-			return zero, q.drainErr
-		}
-		return zero, io.EOF
+		return zero, io.EOF // sendClosed and drained
 	}
 	v := q.items[q.head]
 	q.items[q.head] = zero // release the reference for the GC
 	q.head = (q.head + 1) % len(q.items)
 	q.count--
-	q.popped++
 	q.notFull.Signal()
 	return v, nil
-}
-
-// TryPop is Pop without blocking; ok is false when no item was available.
-func (q *Queue[T]) TryPop() (v T, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.count == 0 || q.aborted {
-		return v, false
-	}
-	var zero T
-	v = q.items[q.head]
-	q.items[q.head] = zero
-	q.head = (q.head + 1) % len(q.items)
-	q.count--
-	q.popped++
-	q.notFull.Signal()
-	return v, true
 }
 
 // CloseSend marks the producer side finished. Blocked and future pushes
@@ -136,22 +112,6 @@ func (q *Queue[T]) CloseSend() {
 		return
 	}
 	q.sendClosed = true
-	q.notEmpty.Broadcast()
-	q.notFull.Broadcast()
-}
-
-// CloseSendWithError is CloseSend with a deferred failure: consumers drain
-// the items already queued (they are valid — e.g. frames that arrived
-// before a link error) and then receive err instead of io.EOF. A nil err
-// is equivalent to CloseSend.
-func (q *Queue[T]) CloseSendWithError(err error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.sendClosed || q.aborted {
-		return
-	}
-	q.sendClosed = true
-	q.drainErr = err
 	q.notEmpty.Broadcast()
 	q.notFull.Broadcast()
 }
@@ -186,19 +146,9 @@ func (q *Queue[T]) Len() int {
 	return q.count
 }
 
-// Cap returns the queue capacity.
-func (q *Queue[T]) Cap() int { return len(q.items) }
-
 // HighWater returns the maximum occupancy ever reached.
 func (q *Queue[T]) HighWater() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.highWater
-}
-
-// Counts returns the total numbers of items pushed and popped.
-func (q *Queue[T]) Counts() (pushed, popped int64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.pushed, q.popped
 }

@@ -236,7 +236,8 @@ func (f Frame) Len() int {
 // one read that returns as soon as any bytes are available, never
 // waiting for the buffer to fill, and the rest of a payload that the
 // buffer does not hold is read straight into its destination when it is
-// at least as large as the buffer.
+// at least as large as the buffer. A packet payload that fits the buffer
+// is returned in place in it.
 type Reader struct {
 	r       io.Reader
 	scratch [16]byte
@@ -302,8 +303,9 @@ func (d *Reader) ReadSmallPayload(h MsgHeader, dst []byte) ([]byte, error) {
 }
 
 // ReadFrame reads the next frame of a stream message. The Payload field of
-// packet frames aliases an internal buffer reused by the next ReadFrame
-// call; callers that keep it must copy.
+// packet frames aliases an internal buffer (the read-ahead buffer, or a
+// reusable packet buffer) that the next Reader call may overwrite;
+// callers that keep it must copy.
 func (d *Reader) ReadFrame() (Frame, error) {
 	var f Frame
 	if _, err := io.ReadFull(d.r, d.scratch[:1]); err != nil {
@@ -327,13 +329,11 @@ func (d *Reader) ReadFrame() (Frame, error) {
 		if n > MaxPacketLen {
 			return f, ErrTooBig
 		}
-		if cap(d.packet) < int(n) {
-			d.packet = make([]byte, n)
-		}
-		f.Payload = d.packet[:n]
-		if _, err := io.ReadFull(d.r, f.Payload); err != nil {
+		p, err := d.payload(int(n))
+		if err != nil {
 			return f, unexpected(err)
 		}
+		f.Payload = p
 	case MarkGroupEnd:
 		if _, err := io.ReadFull(d.r, d.scratch[:8]); err != nil {
 			return f, unexpected(err)
@@ -349,6 +349,28 @@ func (d *Reader) ReadFrame() (Frame, error) {
 		return f, fmt.Errorf("%w: marker %d", ErrBadFrame, f.Mark)
 	}
 	return f, nil
+}
+
+// payload reads the next n bytes of a packet. A payload the read-ahead
+// buffer can hold is returned in place there, so the consumer's copy is
+// its only one; any other is read into the reusable packet buffer.
+func (d *Reader) payload(n int) ([]byte, error) {
+	if br, ok := d.r.(*bufio.Reader); ok && n <= br.Size() {
+		p, err := br.Peek(n)
+		if err != nil {
+			return nil, err
+		}
+		br.Discard(n) // cannot fail: the n bytes are buffered
+		return p, nil
+	}
+	if cap(d.packet) < n {
+		d.packet = make([]byte, n)
+	}
+	p := d.packet[:n]
+	if _, err := io.ReadFull(d.r, p); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // Handshake is the connect-time negotiation frame exchanged by adocnet
