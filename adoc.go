@@ -70,6 +70,9 @@ var (
 	// ErrMidMessage is returned by ReceiveFile when the previous message
 	// was only partially consumed by Read.
 	ErrMidMessage = core.ErrMidMessage
+	// ErrAbandoned is returned by every receive after ReceiveMessage or
+	// ReceiveFile failed mid-message, until Close; it wraps the cause.
+	ErrAbandoned = core.ErrAbandoned
 )
 
 // Stats is a snapshot of per-connection activity (bytes, messages,

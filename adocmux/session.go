@@ -180,11 +180,14 @@ func (s *Session) OpenStreamOrigin(origin string) (*Stream, error) {
 		Type: adoc.EventStream, Conn: s.connID, Stream: id, Action: "open",
 	})
 
+	// Control frames are built on the stack: enqueueCtl copies them into
+	// the batch.
+	var buf [wire.MuxHeaderLen + wire.MaxMuxOriginLen]byte
 	var open []byte
 	if origin != "" {
-		open = wire.AppendMuxOpenOrigin(nil, id, origin)
+		open = wire.AppendMuxOpenOrigin(buf[:0], id, origin)
 	} else {
-		open = wire.AppendMuxOpen(nil, id)
+		open = wire.AppendMuxOpen(buf[:0], id)
 	}
 	if err := s.enqueueCtl(open); err != nil {
 		s.forget(id)
@@ -233,7 +236,8 @@ func (s *Session) grantSurplusWindow(st *Stream) {
 // choke point for every grant (steady-state, surplus, refund).
 func (s *Session) enqueueWindow(id uint32, delta uint32) {
 	s.metrics.windowGrants.Inc()
-	s.enqueueCtl(wire.AppendMuxWindow(nil, id, delta))
+	var buf [wire.MuxHeaderLen + 4]byte
+	s.enqueueCtl(wire.AppendMuxWindow(buf[:0], id, delta))
 }
 
 // closeFlushTimeout bounds how long Close waits for queued frames to
@@ -497,7 +501,8 @@ func (s *Session) handleFrame(f wire.MuxFrame) error {
 				Type: adoc.EventStream, Conn: s.connID, Stream: f.StreamID, Action: "overflow",
 			})
 			s.forget(f.StreamID)
-			s.enqueueCtl(wire.AppendMuxClose(nil, f.StreamID))
+			var buf [wire.MuxHeaderLen]byte
+			s.enqueueCtl(wire.AppendMuxClose(buf[:0], f.StreamID))
 		}
 
 	case wire.MuxData:

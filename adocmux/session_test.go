@@ -565,3 +565,55 @@ func TestStreamIDExhaustion(t *testing.T) {
 		t.Fatal("ID exhaustion killed the session")
 	}
 }
+
+// TestReceiveSegmentsKeepByteOrder: frames of assorted sizes land in the
+// stream's pooled receive segments — small ones sharing a segment, large
+// ones spanning several — and reads of assorted sizes get the bytes back
+// in order, every drained segment leaving the queue; Close drops the
+// unread rest.
+func TestReceiveSegmentsKeepByteOrder(t *testing.T) {
+	cli, _ := sessionPair(t, nil)
+	st, err := cli.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var want []byte
+	for _, n := range []int{1, 100, recvSegMin - 1, recvSegMin + 7, 3, DefaultMaxFrameData, 5000, 2} {
+		frame := make([]byte, n)
+		rng.Read(frame)
+		if accepted, violation := st.deliverData(frame); !accepted || violation {
+			t.Fatalf("deliverData(%d bytes) = %v, %v", n, accepted, violation)
+		}
+		want = append(want, frame...)
+	}
+	// Every byte is buffered already: a Read that waits has lost some.
+	st.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var got []byte
+	for i := 0; len(got) < len(want); i++ {
+		p := make([]byte, []int{1, 7, recvSegMin, 10000, 3}[i%5])
+		n, err := st.Read(p)
+		if err != nil || n == 0 {
+			t.Fatalf("Read = %d, %v with %d bytes still to come", n, err, len(want)-len(got))
+		}
+		got = append(got, p[:n]...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("bytes read differ from the frames delivered")
+	}
+	st.mu.Lock()
+	left, segs := st.buffered, len(st.recv)
+	st.mu.Unlock()
+	if left != 0 || segs != 0 {
+		t.Fatalf("%d bytes in %d segments left after reading everything", left, segs)
+	}
+
+	st.deliverData(make([]byte, 3*recvSegMin))
+	st.Close()
+	st.mu.Lock()
+	left, segs = st.buffered, len(st.recv)
+	st.mu.Unlock()
+	if left != 0 || segs != 0 {
+		t.Fatalf("%d bytes in %d segments left after Close", left, segs)
+	}
+}

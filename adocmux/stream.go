@@ -1,14 +1,19 @@
 package adocmux
 
 import (
-	"bytes"
 	"io"
 	"os"
 	"sync"
 	"time"
 
+	"adoc/internal/core/bufpool"
 	"adoc/internal/wire"
 )
+
+// recvSegMin is the smallest pooled receive segment a stream takes: a
+// frame smaller than the free room in the tail segment starts a segment
+// of at least this size, so small frames in a row share one.
+const recvSegMin = 4 << 10
 
 // Stream is one logical byte stream of a session: an io.ReadWriteCloser
 // with TCP-like half-close. Reads and writes are independent; Read and
@@ -25,14 +30,20 @@ type Stream struct {
 	mu   sync.Mutex
 	cond sync.Cond // readers wait for data/FIN; writers wait for credit
 
-	recvBuf    bytes.Buffer // delivered, not yet consumed by Read
-	recvEOF    bool         // peer sent FIN
-	consumed   int          // bytes read since the last credit grant
-	sendWin    int64        // remaining credit toward the peer
-	recvBudget int64        // bytes the peer may still send (granted - delivered)
-	wclosed    bool         // we sent FIN
-	rclosed    bool         // local read side closed (Close)
-	err        error        // terminal session error
+	// recv holds the delivered bytes not yet consumed by Read, in pooled
+	// segments: recv[0][recvOff:] is read next, and each segment's
+	// length is how far it is filled. recvArr backs a short queue.
+	recv       [][]byte
+	recvArr    [4][]byte
+	recvOff    int
+	buffered   int   // unread bytes across recv
+	recvEOF    bool  // peer sent FIN
+	consumed   int   // bytes read since the last credit grant
+	sendWin    int64 // remaining credit toward the peer
+	recvBudget int64 // bytes the peer may still send (granted - delivered)
+	wclosed    bool  // we sent FIN
+	rclosed    bool  // local read side closed (Close)
+	err        error // terminal session error
 
 	rdl deadline // read deadline (guarded by mu)
 	wdl deadline // write deadline (guarded by mu)
@@ -137,6 +148,7 @@ func (st *Stream) writeExpired() bool {
 func newStream(s *Session, id uint32) *Stream {
 	st := &Stream{id: id, sess: s, sendWin: InitialWindow, recvBudget: InitialWindow}
 	st.cond.L = &st.mu
+	st.recv = st.recvArr[:0]
 	return st
 }
 
@@ -167,7 +179,7 @@ func (st *Stream) Read(p []byte) (int, error) {
 		return 0, nil
 	}
 	st.mu.Lock()
-	for st.recvBuf.Len() == 0 {
+	for st.buffered == 0 {
 		switch {
 		case st.err != nil:
 			err := st.err
@@ -185,7 +197,7 @@ func (st *Stream) Read(p []byte) (int, error) {
 		}
 		st.cond.Wait()
 	}
-	n, _ := st.recvBuf.Read(p)
+	n := st.readBuffered(p)
 	st.consumed += n
 	grant := 0
 	if st.consumed >= st.sess.cfg.Window/2 && !st.recvEOF {
@@ -272,7 +284,8 @@ func (st *Stream) CloseWrite() error {
 	st.wclosed = true
 	st.cond.Broadcast()
 	st.mu.Unlock()
-	if err := st.sess.enqueueCtl(wire.AppendMuxClose(nil, st.id)); err != nil {
+	var buf [wire.MuxHeaderLen]byte
+	if err := st.sess.enqueueCtl(wire.AppendMuxClose(buf[:0], st.id)); err != nil {
 		return err
 	}
 	st.maybeForget()
@@ -291,9 +304,9 @@ func (st *Stream) Close() error {
 		return err
 	}
 	st.rclosed = true
-	refund := st.consumed + st.recvBuf.Len()
+	refund := st.consumed + st.buffered
 	st.consumed = 0
-	st.recvBuf.Reset()
+	st.releaseBuffered()
 	eof := st.recvEOF
 	if !eof {
 		st.recvBudget += int64(refund)
@@ -341,9 +354,65 @@ func (st *Stream) deliverData(p []byte) (accepted, violation bool) {
 	if st.recvBudget < 0 {
 		return false, true
 	}
-	st.recvBuf.Write(p)
+	st.buffer(p)
 	st.cond.Broadcast()
 	return true, false
+}
+
+// buffer copies p behind the unread bytes: into the free room of the
+// tail segment, then into a new pooled one. Called with st.mu held.
+func (st *Stream) buffer(p []byte) {
+	st.buffered += len(p)
+	if n := len(st.recv); n > 0 {
+		tail := st.recv[n-1]
+		c := copy(tail[len(tail):cap(tail)], p)
+		st.recv[n-1] = tail[:len(tail)+c]
+		p = p[c:]
+	}
+	if len(p) > 0 {
+		seg := bufpool.Get(max(len(p), recvSegMin))[:len(p)]
+		copy(seg, p)
+		st.recv = append(st.recv, seg)
+	}
+}
+
+// readBuffered copies unread bytes into p, returning each segment it
+// drains to the pool. Called with st.mu held.
+func (st *Stream) readBuffered(p []byte) int {
+	n := 0
+	for n < len(p) && len(st.recv) > 0 {
+		seg := st.recv[0]
+		c := copy(p[n:], seg[st.recvOff:])
+		n += c
+		st.recvOff += c
+		if st.recvOff == len(seg) {
+			bufpool.Put(seg)
+			st.popSegment()
+		}
+	}
+	st.buffered -= n
+	return n
+}
+
+// popSegment drops the head segment from the queue. Called with st.mu
+// held.
+func (st *Stream) popSegment() {
+	k := copy(st.recv, st.recv[1:])
+	st.recv[k] = nil
+	st.recv = st.recv[:k]
+	st.recvOff = 0
+}
+
+// releaseBuffered returns every segment to the pool, discarding the
+// unread bytes. Called with st.mu held.
+func (st *Stream) releaseBuffered() {
+	for _, seg := range st.recv {
+		bufpool.Put(seg)
+	}
+	clear(st.recv)
+	st.recv = st.recv[:0]
+	st.recvOff = 0
+	st.buffered = 0
 }
 
 // deliverFIN marks the peer's write half closed.

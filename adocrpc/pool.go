@@ -2,10 +2,8 @@ package adocrpc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -161,9 +159,6 @@ func (p *Pool) call(ctx context.Context, method string, args [][]byte) ([][]byte
 		return nil, err
 	}
 	defer st.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		st.SetDeadline(dl)
-	}
 
 	// Call-level span: the whole round trip, keyed by the call's stream ID
 	// so /debug/trace can line it up with the per-stream delivery spans.
@@ -177,27 +172,25 @@ func (p *Pool) call(ctx context.Context, method string, args [][]byte) ([][]byte
 		}()
 	}
 
-	// Cancellation watcher: closing the stream is what unblocks its
-	// pending reads and writes, releases its window credit on both ends,
-	// and retires it from both stream tables — cancel cleans up after
-	// itself instead of leaking a stream per abandoned call. Skipped
-	// entirely for uncancellable contexts (context.Background and
-	// friends), which would otherwise pay a goroutine per call for a
-	// watch that can never fire.
+	// Cancellation hook: when the context is cancelled or its deadline
+	// passes, expiring the stream's deadlines wakes its pending reads and
+	// writes (a time in the past arms no timer), and closing the stream
+	// releases its window credit on both ends and retires it from both
+	// stream tables — cancel cleans up after itself instead of leaking a
+	// stream per abandoned call. Uncancellable contexts
+	// (context.Background and friends) register nothing. A hook that
+	// already started is waited for, so none outlives the call.
 	if ctx.Done() != nil {
-		stop := make(chan struct{})
-		watchDone := make(chan struct{})
-		go func() {
-			defer close(watchDone)
-			select {
-			case <-ctx.Done():
-				st.Close()
-			case <-stop:
-			}
-		}()
+		hookDone := make(chan struct{})
+		stop := context.AfterFunc(ctx, func() {
+			defer close(hookDone)
+			st.SetDeadline(time.Unix(1, 0))
+			st.Close()
+		})
 		defer func() {
-			close(stop)
-			<-watchDone
+			if !stop() {
+				<-hookDone
+			}
 		}()
 	}
 
@@ -211,6 +204,11 @@ func (p *Pool) call(ctx context.Context, method string, args [][]byte) ([][]byte
 		results, err := readResponse(st)
 		if err != nil {
 			return nil, ctxOr(ctx, err)
+		}
+		// A response can win the race against the cancellation hook; the
+		// call still failed from the caller's side.
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		return results, nil
 	}
@@ -245,6 +243,9 @@ func (p *Pool) call(ctx context.Context, method string, args [][]byte) ([][]byte
 	if err != nil {
 		return nil, ctxOr(ctx, err)
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if d.seq != 0 {
 		// Cache a private copy: the returned results alias section, and a
 		// caller mutating them must not corrupt future delta bases.
@@ -267,19 +268,14 @@ func (p *Pool) storeDeltaBase(method string, seq uint64, section []byte) {
 	p.dmu.Unlock()
 }
 
-// ctxOr prefers the context's error: a stream torn down by our own
-// cancellation watcher should report context.Canceled (or
-// DeadlineExceeded), not the induced stream error. A stream deadline
-// expiry is likewise the context's deadline wearing transport clothes —
-// the stream timer can fire a beat before ctx.Err() flips, so it is
-// normalized rather than raced against.
+// ctxOr prefers the context's error: a stream whose deadlines our own
+// cancellation hook expired, or which it closed, should report
+// context.Canceled (or DeadlineExceeded), not the induced stream error.
+// The hook runs only once the context is done, so ctx.Err() is set by
+// the time any induced error surfaces.
 func ctxOr(ctx context.Context, err error) error {
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return ctxErr
-	}
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		// The only deadline ever set on a call stream is the context's.
-		return context.DeadlineExceeded
 	}
 	return err
 }

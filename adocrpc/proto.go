@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
+
+	"adoc/internal/core/bufpool"
 )
 
 // The call wire format, layered on one mux stream per call:
@@ -148,17 +150,26 @@ func readFrames(r io.Reader, what string) ([][]byte, error) {
 }
 
 // requestBuf returns frame(method) argc(4) frame(arg)... behind head
-// bytes that the caller fills in, in one allocation.
+// bytes that the caller fills in, in one pooled buffer for writePooled.
 func requestBuf(head int, method string, args [][]byte) []byte {
-	buf := make([]byte, head, head+4+len(method)+framesLen(args))
+	buf := bufpool.Get(head + 4 + len(method) + framesLen(args))[:head]
 	buf = appendFrame(buf, []byte(method))
 	return appendFrames(buf, args)
 }
 
+// writePooled sends buf, taken from bufpool, as one Write and returns it
+// to the pool. An io.Writer does not retain what it is given (a mux
+// stream copies it into its session's batch), so nothing still refers
+// to buf.
+func writePooled(w io.Writer, buf []byte) error {
+	_, err := w.Write(buf)
+	bufpool.Put(buf)
+	return err
+}
+
 // writeRequest sends method(args) as one Write.
 func writeRequest(w io.Writer, method string, args [][]byte) error {
-	_, err := w.Write(requestBuf(0, method, args))
-	return err
+	return writePooled(w, requestBuf(0, method, args))
 }
 
 // writeRequestDelta sends an extended request announcing the newest
@@ -167,8 +178,7 @@ func writeRequestDelta(w io.Writer, method string, args [][]byte, baseSeq uint64
 	buf := requestBuf(4+8, method, args)
 	binary.BigEndian.PutUint32(buf, deltaMagic)
 	binary.BigEndian.PutUint64(buf[4:], baseSeq)
-	_, err := w.Write(buf)
-	return err
+	return writePooled(w, buf)
 }
 
 // readRequest receives one call's method and arguments. ext reports
@@ -209,12 +219,11 @@ func readRequest(r io.Reader) (method string, args [][]byte, baseSeq uint64, ext
 // writeResponse sends a success (CodeOK plus results) or a typed failure
 // as one Write.
 func writeResponse(w io.Writer, code Code, msg string, results [][]byte) error {
-	buf := make([]byte, 0, 1+4+len(msg)+framesLen(results))
+	buf := bufpool.Get(1 + 4 + len(msg) + framesLen(results))[:0]
 	buf = append(buf, byte(code))
 	buf = appendFrame(buf, []byte(msg))
 	buf = appendFrames(buf, results)
-	_, err := w.Write(buf)
-	return err
+	return writePooled(w, buf)
 }
 
 // parseResultsSection decodes a results section back into result slices.
@@ -236,15 +245,14 @@ func parseResultsSection(b []byte) ([][]byte, error) {
 // is either a plain results section or (dflags&dflagDelta) a delta of
 // one against the base section the client announced.
 func writeResponseDelta(w io.Writer, code Code, msg string, dflags byte, seq, baseSeq uint64, payload []byte) error {
-	buf := make([]byte, 0, 1+4+len(msg)+1+8+8+4+len(payload))
+	buf := bufpool.Get(1 + 4 + len(msg) + 1 + 8 + 8 + 4 + len(payload))[:0]
 	buf = append(buf, byte(code))
 	buf = appendFrame(buf, []byte(msg))
 	buf = append(buf, dflags)
 	buf = binary.BigEndian.AppendUint64(buf, seq)
 	buf = binary.BigEndian.AppendUint64(buf, baseSeq)
 	buf = appendFrame(buf, payload)
-	_, err := w.Write(buf)
-	return err
+	return writePooled(w, buf)
 }
 
 // deltaResponse is one parsed extended response; payload interpretation

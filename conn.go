@@ -118,8 +118,9 @@ func (c *Conn) SendStreamLevels(r io.Reader, size int64, min, max Level) (raw, s
 // decompressed content to w span by span and returning the byte count; a
 // zero-length message writes nothing and returns 0. It must be called on
 // a message boundary (ErrMidMessage otherwise). On an error — the
-// connection's or w's — the rest of the message is discarded and the
-// count is what reached w.
+// connection's or w's — the count is what reached w, and if the message
+// had not ended its rest is left unread: every later receive on the
+// connection returns ErrAbandoned, wrapping the error, until Close.
 func (c *Conn) ReceiveMessage(w io.Writer) (int64, error) {
 	return c.eng.ReceiveMessage(w)
 }

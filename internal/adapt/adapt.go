@@ -398,6 +398,17 @@ func (c *Controller) NoteCompressibleContent() (released bool) {
 	return released
 }
 
+// BypassRunning reports whether an entropy-bypass run is open: a buffer
+// of the current content run shipped raw, so a compressible verdict
+// would end the run (and release the pin, once engaged). While no run is
+// open, a probe verdict on a buffer already at the minimum level changes
+// nothing.
+func (c *Controller) BypassRunning() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bypassRun > 0
+}
+
 // NotePacketsSent advances the incompressible pin countdown: n packets have
 // been produced since the last call.
 func (c *Controller) NotePacketsSent(n int) {

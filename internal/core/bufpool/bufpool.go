@@ -14,6 +14,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"adoc/internal/obs"
 )
@@ -40,7 +41,7 @@ type Pool struct {
 	once    sync.Once
 	min     int         // effective MinAlloc
 	max     int         // effective MaxSize
-	buckets []sync.Pool // buckets[i] holds buffers of cap min<<i
+	buckets []sync.Pool // buckets[i] holds &b[0] of buffers b of cap min<<i
 
 	// Health counters: gets/puts are traffic, allocs are Gets a bucket
 	// could not serve (fresh make), drops are Puts outside the tier range.
@@ -137,7 +138,7 @@ func (p *Pool) Get(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := p.buckets[i].Get(); v != nil {
-		return v.([]byte)[:n]
+		return unsafe.Slice(v.(*byte), p.min<<i)[:n]
 	}
 	p.allocs.Add(1)
 	return make([]byte, n, p.min<<i)
@@ -158,7 +159,10 @@ func (p *Pool) Put(b []byte) {
 	b = b[:c]
 	clear(b)
 	i := bits.TrailingZeros(uint(c)) - bits.TrailingZeros(uint(p.min))
-	p.buckets[i].Put(b) //nolint:staticcheck // slice headers are small
+	// A bucket holds the pointer to the first byte, which fits an
+	// interface without the allocation a slice header would cost on
+	// every Put; the bucket's tier gives the capacity back in Get.
+	p.buckets[i].Put(&b[0])
 }
 
 // Default is the process-wide pool every engine shares unless it brings

@@ -150,3 +150,13 @@ func TestPackageLevelDefault(t *testing.T) {
 	}
 	Put(b)
 }
+
+// TestRecycleAllocatesNothing: a warm Get/Put cycle allocates nothing —
+// a bucket keeps each buffer behind a pointer, not a boxed slice header.
+func TestRecycleAllocatesNothing(t *testing.T) {
+	var p Pool
+	p.Put(p.Get(4096))
+	if n := testing.AllocsPerRun(100, func() { p.Put(p.Get(4096)) }); n != 0 {
+		t.Fatalf("Get/Put allocated %v times per cycle, want 0", n)
+	}
+}

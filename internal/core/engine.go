@@ -23,6 +23,12 @@ var (
 	// ErrMidMessage is returned by ReceiveMessage when the previous
 	// message has not been fully consumed by Read.
 	ErrMidMessage = errors.New("adoc: previous message not fully read")
+	// ErrAbandoned is returned by every receive call after ReceiveMessage
+	// gave up on a stream message before its end, because the message or
+	// the caller's writer failed: the rest of that message is unread, so
+	// the receive side is out of step with the wire until Close. The
+	// error returned wraps the cause.
+	ErrAbandoned = errors.New("adoc: receive abandoned mid-message")
 )
 
 // recvReadAhead is the engine's read-ahead buffer on the connection: one
@@ -56,6 +62,9 @@ type Engine struct {
 	curMu    sync.Mutex
 	cur      *streamState // in-progress pipelined stream message, if any
 	one      oneBufferMsg // in-progress one-buffer stream message, if active
+	// abandoned is the sticky ErrAbandoned every receive returns once a
+	// stream message was dropped before its end.
+	abandoned error
 
 	// sendTC is the flow-trace context of the in-progress write; written
 	// at the top of every write while wmu is held, so the send pipeline

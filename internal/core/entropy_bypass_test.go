@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
+	"time"
 
 	"adoc/internal/adapt"
 	"adoc/internal/codec"
 	"adoc/internal/datagen"
+	"adoc/internal/obs"
 	"adoc/internal/wire"
 )
 
@@ -235,5 +238,63 @@ func TestBypassedGroupsDecodeAsLevelZero(t *testing.T) {
 		if f.Mark == wire.MarkGroupBegin && f.Level != codec.MinLevel {
 			t.Fatalf("bypassed buffer framed at level %d, want 0", f.Level)
 		}
+	}
+}
+
+// TestOneBufferReleasesBypassPin: a one-buffer message skips the entropy
+// probe at level 0 only while no bypass run is open, so the run a forced
+// level pinned is still released by compressible content sent at level 0
+// — here at default bounds, where the pin holds the level at 0.
+func TestOneBufferReleasesBypassPin(t *testing.T) {
+	reg := obs.NewRegistry()
+	sub := reg.Events().Subscribe(16, false)
+	defer sub.Close()
+	o := smallPipelineOptions()
+	o.Metrics = reg
+	var levels []codec.Level
+	o.Trace.OnGroupSent = func(level codec.Level, _, _, _ int) { levels = append(levels, level) }
+	var buf bytes.Buffer
+	e, err := New(struct{ *bytes.Buffer }{&buf}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	for i := range adapt.DefaultBypassRunPin {
+		if _, err := e.WriteMessageLevels(datagen.Incompressible(o.BufferSize, int64(i)), 1, codec.MaxLevel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if run := e.ctrl.Snapshot().BypassRun; run < adapt.DefaultBypassRunPin {
+		t.Fatalf("BypassRun = %d after %d bypassed one-buffer messages, want the run pinned", run, adapt.DefaultBypassRunPin)
+	}
+	levels = nil
+	if _, err := e.WriteMessage(datagen.ASCII(o.BufferSize, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if len(levels) != 1 || levels[0] != codec.MinLevel {
+		t.Fatalf("compressible message sent as groups at levels %v, want one at level 0", levels)
+	}
+	if run := e.ctrl.Snapshot().BypassRun; run != 0 {
+		t.Fatalf("BypassRun = %d after compressible content at level 0, want 0 (pin released)", run)
+	}
+	var actions []string
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	for {
+		ev, ok := sub.Next(ctx)
+		if !ok {
+			t.Fatalf("bypass events %v, want a pin then a release", actions)
+		}
+		if ev.Type != obs.EventBypass {
+			continue
+		}
+		actions = append(actions, ev.Action)
+		if ev.Action == "release" {
+			break
+		}
+	}
+	if len(actions) != 2 || actions[0] != "pin" {
+		t.Fatalf("bypass events %v, want a pin then a release", actions)
 	}
 }

@@ -210,6 +210,13 @@ func (e *Engine) receiveStream(st *streamState, total uint64) {
 	asm := newGroupAssembler(total, false)
 	var span groupSpan
 	for {
+		// An abandoned message is read no further, even while the window
+		// has room.
+		select {
+		case <-st.done:
+			return
+		default:
+		}
 		rc := make(chan decResult, 1)
 		select {
 		case st.order <- rc:
@@ -316,6 +323,9 @@ func (e *Engine) countFrame(f wire.Frame, span *groupSpan) {
 func (e *Engine) next(block bool) (span []byte, end bool, err error) {
 	if e.closed.Load() {
 		return nil, false, ErrClosed
+	}
+	if e.abandoned != nil {
+		return nil, false, e.abandoned
 	}
 	e.releaseHeld()
 	st := e.loadCur()
@@ -466,17 +476,27 @@ func (e *Engine) readSmall(h wire.MsgHeader) ([]byte, error) {
 	return p, nil
 }
 
-// dropStream abandons and forgets the in-progress stream message, if any.
-// Abort comes first: the reception goroutine would otherwise wait on a
-// full order channel forever, unreachable even by Close.
+// dropStream abandons the in-progress stream message, if any, after a
+// receive failed with err. The rest of the message stays unread, so the
+// receive side fails closed: every later receive returns ErrAbandoned,
+// wrapping err, until Close. A reception goroutine still reading the
+// message stays the reader's only user; abort stops it before it claims
+// another result (it would otherwise wait on a full order channel
+// forever, unreachable even by Close), and Close ends a read it is
+// blocked in.
 func (e *Engine) dropStream(err error) {
-	if st := e.loadCur(); st != nil {
+	st := e.loadCur()
+	if st == nil && !e.one.active {
+		return
+	}
+	if st != nil {
 		st.abort(err)
 		e.storeCur(nil)
 	}
 	e.releaseHeld()
 	e.one.asm.release()
 	e.one = oneBufferMsg{}
+	e.abandoned = fmt.Errorf("%w: %w", ErrAbandoned, err)
 }
 
 // Read implements the adoc_read semantics: it fills p with the next bytes

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"hash/adler32"
 	"io"
+	"net"
 	"runtime"
 	"testing"
+	"time"
 
 	"adoc/internal/codec"
 	"adoc/internal/obs"
@@ -271,6 +273,94 @@ func TestSmallMessageTraceEveryAPI(t *testing.T) {
 			e.AdoptRecvTrace(tc)
 			if c := spanCounts(tr.Spans(tc.ID, 0)); c[obs.StageReceive] != 1 || c[obs.StageDeliver] != 1 {
 				t.Fatalf("spans %v, want one receive and one deliver", c)
+			}
+		})
+	}
+}
+
+// failAfterSpans is a ReceiveMessage sink that accepts spans spans, then
+// fails every Write with err.
+type failAfterSpans struct {
+	spans int
+	err   error
+}
+
+func (w *failAfterSpans) Write(p []byte) (int, error) {
+	if w.spans == 0 {
+		return 0, w.err
+	}
+	w.spans--
+	return len(p), nil
+}
+
+// TestAbandonedReceiveFailsClosed: a ReceiveMessage whose sink fails
+// part-way through a stream message leaves the rest of the message
+// unread. The next receive must neither read it as a message header
+// ("wire: bad magic") nor share the reader with a reception goroutine
+// still reading it (a data race under -race): every receive returns
+// ErrAbandoned, wrapping the sink's error, until Close, and no goroutine
+// outlives Close.
+func TestAbandonedReceiveFailsClosed(t *testing.T) {
+	o := smallPipelineOptions()
+	o.Parallelism = 2
+	for _, tc := range []struct {
+		name  string
+		size  int
+		spans int
+	}{
+		{"pipeline", 64 * o.BufferSize, 2},
+		{"one buffer", o.BufferSize, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			warmWorkerPool()
+			before := runtime.NumGoroutine()
+			c1, c2 := net.Pipe()
+			e1, err := New(c1, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e2, err := New(c2, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent := make(chan struct{})
+			go func() {
+				defer close(sent)
+				e1.WriteMessage(compressibleData(tc.size)) // fails once the pipe closes
+			}()
+			cause := errors.New("sink full")
+			if _, err := e2.ReceiveMessage(&failAfterSpans{spans: tc.spans, err: cause}); !errors.Is(err, cause) {
+				t.Fatalf("ReceiveMessage = %v, want the sink's error", err)
+			}
+			// A receive that reads the pipe again fails by this deadline
+			// instead of waiting for bytes the sender never sends.
+			c2.SetReadDeadline(time.Now().Add(5 * time.Second))
+			buf := make([]byte, 1024)
+			for _, api := range []struct {
+				name string
+				recv func() error
+			}{
+				{"ReceiveMessage", func() error { _, err := e2.ReceiveMessage(io.Discard); return err }},
+				{"Read", func() error { _, err := e2.Read(buf); return err }},
+				{"ReadChunk", func() error { _, err := e2.ReadChunk(); return err }},
+				{"ReceiveMessage again", func() error { _, err := e2.ReceiveMessage(io.Discard); return err }},
+			} {
+				if err := api.recv(); !errors.Is(err, ErrAbandoned) || !errors.Is(err, cause) {
+					t.Fatalf("%s after the abandoned message = %v, want ErrAbandoned wrapping the sink's error", api.name, err)
+				}
+			}
+			e2.Close()
+			e1.Close()
+			if _, err := e2.ReceiveMessage(io.Discard); err != ErrClosed {
+				t.Fatalf("ReceiveMessage after Close = %v, want ErrClosed", err)
+			}
+			<-sent
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%d goroutines left after Close", n-before)
 			}
 		})
 	}

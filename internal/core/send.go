@@ -171,7 +171,8 @@ func (e *Engine) writeSmall(p []byte) (accepted, wireN int64, err error) {
 // while buffer i is on the wire needs a buffer i+1 — so, like writeSmall,
 // it runs on the caller's goroutine: the level is chosen as the pipeline
 // chooses it for a first buffer (the fast-link bypass, or the controller
-// at an empty queue followed by the entropy probe), the buffer compresses
+// at an empty queue followed by the entropy probe when its verdict can
+// change something), the buffer compresses
 // here, and one Write carries the header, the group(s) and MsgEnd. The
 // wire bytes are the pipeline's, and the controller, link estimate,
 // stats and flow-trace spans are fed as the pipeline feeds them. Caller
@@ -204,7 +205,15 @@ func (e *Engine) writeOneBuffer(p []byte, min, max codec.Level) (delivered, wire
 			tr.Record(tc, 0, obs.StageEnqueue, start, 0, len(p), int(level))
 			tr.Record(tc, 0, obs.StageQueue, start, 0, len(p), int(level))
 		}
-		level, class := e.classifyBuffer(level, p)
+		// At level 0 the probe's verdict matters only to an open bypass
+		// run, which a compressible buffer ends: otherwise the buffer
+		// ships raw whatever the verdict, and the probe is skipped. The
+		// pipeline keeps probing, since verdicts of its earlier buffers
+		// may still be in flight when it picks a level.
+		class := classUnknown
+		if level != codec.MinLevel || e.ctrl.BypassRunning() {
+			level, class = e.classifyBuffer(level, p)
+		}
 		var scratch []byte
 		if level == codec.LZF {
 			scratch = bufpool.Get(e.opts.BufferSize)
@@ -498,7 +507,8 @@ func (e *Engine) runEmitter(q *fifo.Queue[segment], res chan<- emitResult, tc ob
 type contentClass int8
 
 const (
-	// classUnknown: the probe did not run (bypass disabled).
+	// classUnknown: the probe did not run (bypass disabled, or a
+	// one-buffer message at level 0 outside a bypass run).
 	classUnknown contentClass = iota
 	// classCompressible: worth compressing; ends any bypass run.
 	classCompressible
