@@ -356,7 +356,7 @@ func (s *Session) enqueueData(id uint32, p []byte, st *Stream) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
 	for len(s.sendBuf) > s.cfg.MaxBatch && s.sendErr == nil {
-		if st.writeExpired() {
+		if st.writeWait() {
 			return os.ErrDeadlineExceeded
 		}
 		s.sendCond.Wait()

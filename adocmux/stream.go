@@ -49,48 +49,53 @@ type Stream struct {
 	wdl deadline // write deadline (guarded by mu)
 }
 
-// deadline is one direction's timeout state. A generation counter keeps a
-// stale AfterFunc (from a deadline that was since reset) from expiring
-// the new one.
+// deadline is one direction's timeout state. Setting it only records the
+// time; an operation arms a timer just before it waits, so a deadline
+// set and cleared around work that never blocks (a request already
+// buffered) costs no timer. Expiry is read from the clock: the deadline
+// has passed once at is set and not in the future.
 type deadline struct {
-	timer   *time.Timer
-	gen     uint64
-	expired bool
+	at    time.Time   // zero: no deadline
+	timer *time.Timer // wakes the waiters at at; nil until one waits
 }
 
-// set arms (or clears, for a zero t) the deadline. Called with st.mu
-// held; notify runs outside the lock when the deadline later fires.
-// expiredNow reports a deadline already in the past — the caller must do
-// any out-of-lock waking itself (the timer path handles its own).
-func (d *deadline) set(st *Stream, t time.Time) (expiredNow bool) {
-	d.gen++
-	gen := d.gen
+// set records t (a zero t clears the deadline) and wakes the stream's
+// waiters so they re-check it, or arm a timer for it. Called with st.mu
+// held; a writer waiting on the session's batch backpressure must be
+// woken by the caller, outside the lock.
+func (d *deadline) set(st *Stream, t time.Time) {
 	if d.timer != nil {
 		d.timer.Stop()
 		d.timer = nil
 	}
-	d.expired = false
-	if t.IsZero() {
-		return false
+	d.at = t
+	st.cond.Broadcast()
+}
+
+// expired reports whether the deadline has passed.
+func (d *deadline) expired() bool {
+	return !d.at.IsZero() && !time.Now().Before(d.at)
+}
+
+// arm makes sure a timer wakes the stream's waiters, and the session's
+// batch-backpressure waiters, when the deadline passes. Called with st.mu
+// held by an operation about to wait; a timer already armed for this
+// deadline serves it.
+func (d *deadline) arm(st *Stream) {
+	if d.at.IsZero() || d.timer != nil {
+		return
 	}
-	wait := time.Until(t)
-	if wait <= 0 {
-		d.expired = true
-		st.cond.Broadcast()
-		return true
-	}
-	d.timer = time.AfterFunc(wait, func() {
+	var t *time.Timer
+	t = time.AfterFunc(time.Until(d.at), func() {
 		st.mu.Lock()
-		if d.gen == gen {
-			d.expired = true
-			st.cond.Broadcast()
+		if d.timer == t {
+			d.timer = nil // a later wait re-arms if the clock disagrees
 		}
+		st.cond.Broadcast()
 		st.mu.Unlock()
-		// A writer may be waiting on the session's batch backpressure
-		// rather than stream credit; wake that wait too.
 		st.sess.wakeSenders()
 	})
-	return false
+	d.timer = t
 }
 
 // SetDeadline sets both the read and write deadlines, net.Conn style: a
@@ -101,14 +106,12 @@ func (d *deadline) set(st *Stream, t time.Time) (expiredNow bool) {
 func (st *Stream) SetDeadline(t time.Time) error {
 	st.mu.Lock()
 	st.rdl.set(st, t)
-	expired := st.wdl.set(st, t)
+	st.wdl.set(st, t)
 	st.mu.Unlock()
-	if expired {
-		// Writers blocked on the session's batch backpressure wait on the
-		// send-side condition; wake them outside the stream lock (the
-		// session send lock is always taken first).
-		st.sess.wakeSenders()
-	}
+	// Writers blocked on the session's batch backpressure wait on the
+	// send-side condition; wake them outside the stream lock (the session
+	// send lock is always taken first).
+	st.sess.wakeSenders()
 	return nil
 }
 
@@ -128,21 +131,24 @@ func (st *Stream) SetReadDeadline(t time.Time) error {
 // batch are not recalled.
 func (st *Stream) SetWriteDeadline(t time.Time) error {
 	st.mu.Lock()
-	expired := st.wdl.set(st, t)
+	st.wdl.set(st, t)
 	st.mu.Unlock()
-	if expired {
-		st.sess.wakeSenders()
-	}
+	st.sess.wakeSenders()
 	return nil
 }
 
-// writeExpired reports whether the write deadline has passed (for the
-// session's batch-backpressure wait, which runs under the session send
-// lock, not the stream lock).
-func (st *Stream) writeExpired() bool {
+// writeWait is the session's batch-backpressure wait asking about the
+// write deadline (it runs under the session send lock, not the stream
+// lock): it reports whether the deadline has passed and, if not, arms
+// its timer for the wait to come.
+func (st *Stream) writeWait() (expired bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.wdl.expired
+	if st.wdl.expired() {
+		return true
+	}
+	st.wdl.arm(st)
+	return false
 }
 
 func newStream(s *Session, id uint32) *Stream {
@@ -191,10 +197,11 @@ func (st *Stream) Read(p []byte) (int, error) {
 		case st.recvEOF:
 			st.mu.Unlock()
 			return 0, io.EOF
-		case st.rdl.expired:
+		case st.rdl.expired():
 			st.mu.Unlock()
 			return 0, os.ErrDeadlineExceeded
 		}
+		st.rdl.arm(st)
 		st.cond.Wait()
 	}
 	n := st.readBuffered(p)
@@ -225,7 +232,8 @@ func (st *Stream) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 {
 		st.mu.Lock()
-		for st.sendWin == 0 && st.err == nil && !st.wclosed && !st.wdl.expired {
+		for st.sendWin == 0 && st.err == nil && !st.wclosed && !st.wdl.expired() {
+			st.wdl.arm(st)
 			st.cond.Wait()
 		}
 		if st.err != nil {
@@ -237,7 +245,7 @@ func (st *Stream) Write(p []byte) (int, error) {
 			st.mu.Unlock()
 			return total, ErrStreamClosed
 		}
-		if st.wdl.expired {
+		if st.wdl.expired() {
 			st.mu.Unlock()
 			return total, os.ErrDeadlineExceeded
 		}

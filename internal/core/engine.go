@@ -71,6 +71,10 @@ type Engine struct {
 	// (which outlives no single write — writeMessage joins its emitter
 	// before returning) reads a stable value.
 	sendTC obs.TraceContext
+	// sink frames the Writes made on the caller's goroutine: one-buffer
+	// messages, the probe prefix, the raw bypass and a lone MsgEnd.
+	// Guarded by wmu; its buffer is pooled between Writes.
+	sink frameSink
 
 	// rt buffers receive-side spans until the consumer layer (the mux
 	// demux loop) extracts the sender's trace context from the decoded

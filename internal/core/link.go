@@ -6,14 +6,14 @@ import (
 	"time"
 )
 
-// linkWeight is the weight of a new sample in the link estimate's moving
-// average.
+// linkWeight is the weight of a new sample of DefaultProbeSize bytes in
+// the link estimate's moving average.
 const linkWeight = 0.25
 
 // linkEstimate is the connection's measured link speed (paper §5 "Fast
 // Networks", carried across messages instead of probed per message):
-// wire bytes per second of one message's socket Writes. The emitter and
-// the direct raw-group writes feed it every Write they make.
+// wire bytes per second of one message's socket Writes. emit feeds it
+// every Write the sender makes.
 //
 // A sample runs from the start of its first Write to the end of the Write
 // that brings it to DefaultProbeSize wire bytes of one message. Time
@@ -30,7 +30,12 @@ const linkWeight = 0.25
 //
 // Closed samples fold into a moving average of seconds per byte rather
 // than bytes per second: one slow sample pulls a fast estimate down at
-// once, while a slow estimate needs several fast samples to rise.
+// once, while a slow estimate needs several fast samples to rise. A
+// sample weighs by its bytes: one of k·DefaultProbeSize moves the average
+// as far as k samples of DefaultProbeSize would, so the estimate follows
+// the same byte stream at the same pace whether it went out in packet-
+// sized Writes or in buffer-sized ones, which close fewer, longer
+// samples.
 //
 // The open sample and the average belong to whoever holds the engine's
 // wmu (the writer, or the emitter it waits for); bps is published
@@ -55,7 +60,8 @@ func (l *linkEstimate) add(n int, start, end time.Time) {
 	if l.secPerB == 0 {
 		l.secPerB = s
 	} else {
-		l.secPerB += linkWeight * (s - l.secPerB)
+		w := 1 - math.Pow(1-linkWeight, float64(l.bytes)/DefaultProbeSize)
+		l.secPerB += w * (s - l.secPerB)
 	}
 	l.bytes = 0
 	l.bps.Store(math.Float64bits(1 / l.secPerB))

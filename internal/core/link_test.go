@@ -292,3 +292,45 @@ func TestSendMessageReusesBuffers(t *testing.T) {
 		})
 	}
 }
+
+// TestLinkEstimateWriteSizeNeutral: a sample weighs by its bytes, so after
+// a slow→fast switch the same byte stream crosses DefaultFastCutoffBps
+// within the same message whether it goes out in packet-sized (8 KB)
+// Writes or in buffer-sized (200 KB) ones, which close fewer, longer
+// samples. Weighing every sample alike, the 200 KB Writes cross a
+// message later.
+func TestLinkEstimateWriteSizeNeutral(t *testing.T) {
+	const msg = 8 * DefaultBufferSize // 1600 KB: 8 Writes of 200 KB, 200 of 8 KB
+	crossing := func(write int) int {
+		t.Helper()
+		var l linkEstimate
+		now := time.Unix(0, 0)
+		send := func(rate float64) {
+			l.startMessage()
+			for sent := 0; sent < msg; sent += write {
+				n := min(write, msg-sent)
+				end := now.Add(time.Duration(float64(n) / rate * float64(time.Second)))
+				l.add(n, now, end)
+				now = end
+			}
+		}
+		for range 4 {
+			send(1e6)
+		}
+		if bps := l.Bps(); bps > DefaultFastCutoffBps {
+			t.Fatalf("%d B Writes: estimate %.3g B/s after four messages at 1 MB/s", write, bps)
+		}
+		for i := range 12 {
+			send(1e9)
+			if l.Bps() > DefaultFastCutoffBps {
+				return i
+			}
+		}
+		t.Fatalf("%d B Writes: estimate %.3g B/s after twelve messages at 1 GB/s", write, l.Bps())
+		return -1
+	}
+	small, large := crossing(DefaultPacketSize), crossing(DefaultBufferSize)
+	if small != large {
+		t.Fatalf("after the switch, 8 KB Writes cross the cutoff in message %d and 200 KB Writes in message %d", small, large)
+	}
+}

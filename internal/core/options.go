@@ -87,9 +87,12 @@ type Trace struct {
 	// DefaultProbeSize) and whether the rest of the message takes the raw
 	// bypass.
 	OnProbe func(bps float64, bypass bool)
-	// OnGroupSent fires after a buffer group fully left the socket:
-	// compression level, raw payload size, bytes on the wire, and the
-	// FIFO occupancy at that moment.
+	// OnGroupSent fires after a group the controller chose the level for
+	// fully left the socket: compression level, raw payload size, bytes
+	// on the wire, and, on the pipeline, the emission FIFO's occupancy in
+	// packets as the Write carrying the group began, not counting the
+	// buffer being written (0 off the pipeline). Raw-bypass groups do not
+	// fire it.
 	OnGroupSent func(level codec.Level, rawLen, wireLen, queueLen int)
 	// OnTransition fires for every controller level change with the
 	// control-loop stage that caused it — the feed for adaptive-trace

@@ -1,11 +1,13 @@
 // The AdOC pipeline, run on the process-wide WorkerPool. The writer
 // splits a message into adaptation buffers and chooses each buffer's
-// level as it submits the buffer; pool workers compress buffers; an
-// in-order reassembly stage feeds the emission goroutine's packet FIFO,
-// so the wire stream keeps buffer order and framing whatever order the
-// workers finish in. The receive side mirrors this without a FIFO: its
-// reception goroutine hands each group to the pool and queues the group's
-// result channel in wire order for the reader (recv.go).
+// level as it submits the buffer; pool workers compress and frame
+// buffers; an in-order reassembly stage feeds the emission goroutine's
+// FIFO one framed buffer at a time, so the wire stream keeps buffer order
+// and framing whatever order the workers finish in, and the emitter
+// writes each buffer with one Write. The receive side mirrors this
+// without a FIFO: its reception goroutine hands each group to the pool
+// and queues the group's result channel in wire order for the reader
+// (recv.go).
 //
 // Parallelism is the engine's in-flight window — how many adaptation
 // buffers (or receive groups) it may have submitted at once — not a
@@ -13,14 +15,16 @@
 // pool's size. Parallelism 1 is the paper's sequential pipeline as the
 // window-of-1 case of the same code.
 //
-// Paper Figure 2 drives the level from the occupancy of the one FIFO
-// between the compression thread and the emission thread. Here buffers
-// also wait outside that FIFO — submitted, compressing, or in reassembly
-// — so the occupancy passed to LevelForNextBuffer is the FIFO's length
-// plus, for every buffer submitted but not yet handed to the FIFO, its raw
-// size in packets. Counting at submit rather than as workers produce
-// segments means the controller sees the same queue whatever the window
-// size and however fast the workers run.
+// Paper Figure 2 drives the level from the occupancy of the one FIFO of
+// packets between the compression thread and the emission thread. The
+// FIFO here weighs each framed buffer by its packets, so its length still
+// counts packets. Buffers also wait outside it — submitted, compressing,
+// in reassembly, or being written — so the occupancy passed to
+// LevelForNextBuffer is the FIFO's length plus, for every buffer
+// submitted but not yet in the FIFO, its raw size in packets, and for the
+// buffer the emitter is writing, its packets. Counting at submit rather
+// than as workers produce frames means the controller sees the same
+// queue whatever the window size and however fast the workers run.
 
 package core
 
@@ -37,17 +41,13 @@ import (
 	"adoc/internal/wire"
 )
 
-// segList collects the wire-framed segments of one compressed buffer, in
-// order, until the reassembly stage hands them to the emission FIFO.
-type segList []segment
-
-// compResult is one compressed buffer: its wire-framed segments in order,
-// plus the entropy probe's verdict, applied to the controller by the
-// reassembly stage so feedback arrives in buffer order rather than worker
+// compResult is one compressed buffer, framed into its own sink, plus the
+// entropy probe's verdict, applied to the controller by the reassembly
+// stage so feedback arrives in buffer order rather than worker
 // completion order.
 type compResult struct {
-	segs  segList
-	raw   int // raw bytes the segments carry, for rawSent accounting
+	sink  frameSink
+	raw   int // raw bytes the sink carries
 	class contentClass
 	err   error
 }
@@ -60,11 +60,12 @@ func (e *Engine) rawPackets(n int) int64 {
 }
 
 // compressJob runs on a pool worker: classify one adaptation buffer,
-// compress it at its submit-time level, release its backing buffers, and
-// deliver the result to the engine's reassembly stage. For sampled
+// compress and frame it at its submit-time level behind head (the stream
+// header, for a message's first buffer), release its backing buffers,
+// and deliver the result to the engine's reassembly stage. For sampled
 // messages the worker records the buffer's queue wait (submitAt to job
 // start) and its compress span.
-func (e *Engine) compressJob(buf, data []byte, level codec.Level, res chan<- compResult, tc obs.TraceContext, submitAt time.Time) {
+func (e *Engine) compressJob(buf, data, head []byte, level codec.Level, res chan<- compResult, tc obs.TraceContext, submitAt time.Time) {
 	tr := e.opts.FlowTracer
 	var start time.Time
 	if tc.Sampled {
@@ -77,36 +78,44 @@ func (e *Engine) compressJob(buf, data []byte, level codec.Level, res chan<- com
 		scratch = bufpool.Get(e.opts.BufferSize)
 	}
 	var sink frameSink
+	sink.open(len(head) + wire.GroupLen(len(data), e.opts.PacketSize))
+	sink.buf = append(sink.buf, head...)
 	err := e.compressBufferAt(&sink, level, data, scratch)
 	raw := len(data)
 	if tc.Sampled {
 		tr.Record(tc, 0, obs.StageCompress, start, tr.Now().Sub(start), raw, int(level))
 	}
 	if scratch != nil {
-		bufpool.Put(scratch) // segments copied out of it already
+		bufpool.Put(scratch) // frames copied out of it already
 	}
 	bufpool.Put(buf)
-	res <- compResult{segs: sink.segs, raw: raw, class: class, err: err}
+	if err != nil {
+		sink.release()
+	}
+	res <- compResult{sink: sink, raw: raw, class: class, err: err}
 }
 
 // sendPipeline runs the adaptive send pipeline for the rest of a message:
 // the caller goroutine reads buffers and assigns levels, pool workers
-// compress, the reassembly goroutine restores buffer order into the
-// emission FIFO, and runEmitter drains the FIFO onto the socket.
-// remaining < 0 means until EOF.
-func (e *Engine) sendPipeline(src io.Reader, remaining int64) (delivered, wireBytes int64, err error) {
+// compress and frame them, the reassembly goroutine restores buffer
+// order into the emission FIFO, and runEmitter writes each buffer from
+// the FIFO onto the socket. remaining < 0 means until EOF. head, the
+// stream header while unsent, rides in front of the first buffer; on
+// success it went out unless no buffer did (delivered is 0).
+func (e *Engine) sendPipeline(src io.Reader, remaining int64, head []byte) (delivered, wireBytes int64, err error) {
 	if remaining == 0 {
 		return 0, 0, nil
 	}
 	tc := e.sendTC
 	tr := e.opts.FlowTracer
-	q := fifo.New[segment](DefaultQueueCapacity)
-	res := make(chan emitResult, 1)
-	go e.runEmitter(q, res, tc)
-
+	q := fifo.New[frameSink](DefaultQueueCapacity)
 	// backlog holds the raw packet count of every buffer submitted but not
-	// yet handed to q, where q.Len counts its segments instead.
+	// yet in q, where q.Len counts its packet frames instead, and the
+	// packet frames of the buffer the emitter is writing.
 	var backlog atomic.Int64
+	res := make(chan emitResult, 1)
+	go e.runEmitter(q, &backlog, res, tc)
+
 	// order carries one result channel per buffer in submit order; its
 	// capacity is the engine's in-flight window (Parallelism) and bounds
 	// both reassembly memory and how many jobs this engine can have queued
@@ -123,6 +132,7 @@ func (e *Engine) sendPipeline(src io.Reader, remaining int64) (delivered, wireBy
 		for rc := range order {
 			r := <-rc
 			if firstErr != nil {
+				r.sink.release()
 				continue
 			}
 			if r.err != nil {
@@ -131,18 +141,11 @@ func (e *Engine) sendPipeline(src io.Reader, remaining int64) (delivered, wireBy
 				// Probe feedback in buffer order: the run counter must see
 				// the stream's sequence, not the workers' finish order.
 				e.noteContent(r.class)
+				if err := q.Push(r.sink, r.sink.packets); err != nil {
+					r.sink.release()
+					firstErr = err
+				}
 				backlog.Add(-e.rawPackets(r.raw))
-				for _, s := range r.segs {
-					if err := q.Push(s); err != nil {
-						firstErr = err
-						break
-					}
-				}
-				if firstErr == nil {
-					// Counted here, not at submit, so a failed send reports
-					// only the payload that reached the FIFO.
-					e.stats.rawSent.Add(int64(r.raw))
-				}
 			}
 			if firstErr != nil {
 				failed.Store(true)
@@ -179,8 +182,9 @@ func (e *Engine) sendPipeline(src io.Reader, remaining int64) (delivered, wireBy
 				tr.Record(tc, 0, obs.StageEnqueue, eq, submitAt.Sub(eq), n, int(level))
 			}
 			backlog.Add(e.rawPackets(n))
-			data := buf[:n]
-			defaultPool.Submit(func() { e.compressJob(buf, data, level, rc, tc, submitAt) })
+			data, h := buf[:n], head
+			head = nil
+			defaultPool.Submit(func() { e.compressJob(buf, data, h, level, rc, tc, submitAt) })
 			if remaining > 0 {
 				remaining -= int64(n)
 			}

@@ -519,3 +519,44 @@ func TestAdaptsAtEveryWindow(t *testing.T) {
 		})
 	}
 }
+
+// TestPipelineWritesPerBuffer pins the send step: the pipeline writes each
+// framed buffer with one Write, the stream header riding with the first,
+// so a message of k adaptation buffers costs at most k+1 Writes (MsgEnd
+// may go alone) on a slow link where every buffer takes the pipeline. A
+// Write per packet frame would make about 25 per buffer. The bytes must
+// still decode to the message.
+func TestPipelineWritesPerBuffer(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		for _, k := range []int{3, 8} {
+			t.Run(fmt.Sprintf("parallelism%d/buffers%d", par, k), func(t *testing.T) {
+				l := &countedLink{meteredLink: newMeteredLink(1e6, 0)}
+				o := DefaultOptions()
+				o.Clock = l.clk
+				o.DisableProbe = true
+				o.Parallelism = par
+				e, err := New(l, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				msg := compressibleData(k * DefaultBufferSize)
+				if _, err := e.WriteMessage(msg); err != nil {
+					t.Fatal(err)
+				}
+				if l.writes > k+1 {
+					t.Fatalf("%d Writes for a %d-buffer message, want at most %d", l.writes, k, k+1)
+				}
+				r, err := New(&rawConn{Reader: &l.sent}, DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				var got bytes.Buffer
+				if _, err := r.ReceiveMessage(&got); err != nil || !bytes.Equal(got.Bytes(), msg) {
+					t.Fatalf("received %d bytes (%v), want the %d sent", got.Len(), err, len(msg))
+				}
+			})
+		}
+	}
+}

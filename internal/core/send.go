@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sync/atomic"
 	"time"
 
 	"adoc/internal/codec"
@@ -12,17 +13,6 @@ import (
 	"adoc/internal/obs"
 	"adoc/internal/wire"
 )
-
-// segment is one FIFO item: pre-framed wire bytes plus the bookkeeping the
-// emission thread needs to attribute bandwidth to compression levels.
-type segment struct {
-	data       []byte
-	groupStart bool
-	groupEnd   bool
-	level      codec.Level
-	groupRaw   int // raw payload of the whole group; set on the end segment
-	groupWire  int // wire bytes of the whole group; set on the end segment
-}
 
 // WriteMessage sends p as one AdOC message at the engine's level bounds.
 // It returns the number of bytes that hit the wire (framing included) —
@@ -172,11 +162,11 @@ func (e *Engine) writeSmall(p []byte) (accepted, wireN int64, err error) {
 // it runs on the caller's goroutine: the level is chosen as the pipeline
 // chooses it for a first buffer (the fast-link bypass, or the controller
 // at an empty queue followed by the entropy probe when its verdict can
-// change something), the buffer compresses
-// here, and one Write carries the header, the group(s) and MsgEnd. The
-// wire bytes are the pipeline's, and the controller, link estimate,
-// stats and flow-trace spans are fed as the pipeline feeds them. Caller
-// holds wmu.
+// change something), the buffer compresses here into the engine's sink,
+// and one Write carries the header, the group(s) and MsgEnd. The wire
+// bytes are the pipeline's, and emit feeds the controller, link estimate,
+// stats and flow-trace spans as it does for the pipeline. Caller holds
+// wmu.
 func (e *Engine) writeOneBuffer(p []byte, min, max codec.Level) (delivered, wireN int64, err error) {
 	if err := e.ctrl.SetBounds(min, max); err != nil {
 		return 0, 0, err
@@ -184,17 +174,17 @@ func (e *Engine) writeOneBuffer(p []byte, min, max codec.Level) (delivered, wire
 	e.link.startMessage()
 	tc := e.sendTC
 	tr := e.opts.FlowTracer
-	sink := frameSink{flat: true}
-	sink.buf = bufpool.Get(wire.StreamHeaderLen + wire.GroupLen(len(p), e.opts.PacketSize) + wire.FrameMsgEndLen)[:0]
-	sink.buf = wire.AppendStreamHeader(sink.buf, uint64(len(p)))
+	s := &e.sink
+	s.open(wire.StreamHeaderLen + wire.GroupLen(len(p), e.opts.PacketSize) + wire.FrameMsgEndLen)
+	s.buf = wire.AppendStreamHeader(s.buf, uint64(len(p)))
 	bypass := min == codec.MinLevel && !e.opts.DisableProbe && e.link.Bps() > DefaultFastCutoffBps
 	switch {
 	case len(p) == 0:
 	case bypass:
-		// As on sendRawBypass, the controller neither picks the level nor
-		// hears about the group.
+		// As on the stream bypass, the controller neither picks the level
+		// nor hears about the group.
 		e.stats.probeBypasses.Add(1)
-		sink.appendGroup(codec.MinLevel, p, p, e.opts.PacketSize)
+		s.appendGroup(codec.MinLevel, p, p, e.opts.PacketSize)
 	default:
 		level := e.ctrl.LevelForNextBuffer(0)
 		var start time.Time
@@ -218,7 +208,7 @@ func (e *Engine) writeOneBuffer(p []byte, min, max codec.Level) (delivered, wire
 		if level == codec.LZF {
 			scratch = bufpool.Get(e.opts.BufferSize)
 		}
-		err := e.compressBufferAt(&sink, level, p, scratch)
+		err := e.compressBufferAt(s, level, p, scratch)
 		if scratch != nil {
 			bufpool.Put(scratch)
 		}
@@ -226,48 +216,17 @@ func (e *Engine) writeOneBuffer(p []byte, min, max codec.Level) (delivered, wire
 			tr.Record(tc, 0, obs.StageCompress, start, tr.Now().Sub(start), len(p), int(level))
 		}
 		if err != nil {
-			bufpool.Put(sink.buf)
+			s.release()
 			return 0, 0, err
 		}
 		e.noteContent(class)
 	}
-	sink.buf = wire.AppendMsgEnd(sink.buf)
-	e.stats.rawSent.Add(int64(len(p)))
-
-	start := e.opts.Clock.Now()
-	n, err := e.rw.Write(sink.buf)
-	end := e.opts.Clock.Now()
-	e.link.add(n, start, end)
-	e.stats.wireSent.Add(int64(n))
-	// Each group fully on the socket counts as delivered, with its share
-	// of the Write's time.
-	total := len(sink.buf)
-	prev := wire.StreamHeaderLen
-	for _, g := range sink.groups {
-		if n < g.end {
-			break
-		}
-		gw := g.end - prev
-		prev = g.end
-		delivered += int64(g.raw)
-		dur := end.Sub(start) * time.Duration(gw) / time.Duration(total)
-		if tc.Sampled {
-			tr.Record(tc, 0, obs.StageWire, start, dur, gw, int(g.level))
-		}
-		if bypass {
-			continue
-		}
-		e.ctrl.RecordDelivery(g.level, g.raw, dur)
-		if e.opts.Trace.OnGroupSent != nil {
-			e.opts.Trace.OnGroupSent(g.level, g.raw, gw, 0)
-		}
+	s.buf = wire.AppendMsgEnd(s.buf)
+	delivered, n, err := e.emit(s, tc, 0, bypass)
+	if err == nil {
+		e.stats.msgsSent.Add(1)
 	}
-	bufpool.Put(sink.buf)
-	if err != nil {
-		return delivered, int64(n), err
-	}
-	e.stats.msgsSent.Add(1)
-	return int64(len(p)), int64(total), nil
+	return delivered, int64(n), err
 }
 
 // writeStream sends one stream message that spans several adaptation
@@ -276,23 +235,20 @@ func (e *Engine) writeOneBuffer(p []byte, min, max codec.Level) (delivered, wire
 // connection has no link estimate yet. Caller holds wmu. delivered is the
 // raw payload of every group that fully reached the socket (the basis of
 // the io.Writer partial-write count; on success it is every byte read
-// from src); wireBytes counts everything written, and is folded into
-// Stats on every return path — error or not — so a mid-stream failure
-// cannot leave socket bytes unaccounted.
+// from src); wireBytes counts everything written, error or not, as emit
+// already folded it into Stats.
 func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (delivered, wireBytes int64, err error) {
 	if err := e.ctrl.SetBounds(min, max); err != nil {
 		return 0, 0, err
 	}
-	defer func() { e.stats.wireSent.Add(wireBytes) }()
 	e.link.startMessage()
 	totalRaw := wire.UnknownTotal
 	if size >= 0 {
 		totalRaw = uint64(size)
 	}
-	// The header rides in front of the first raw group when the message
-	// starts raw (probe or bypass); the pipeline writes it alone.
-	hdr := wire.AppendStreamHeader(nil, totalRaw)
-
+	// The header rides in front of the message's first group, whichever
+	// path sends it; head is nil once it is out.
+	head := wire.AppendStreamHeader(nil, totalRaw)
 	remaining := size // < 0 when unknown
 
 	// Fast-link rule (paper §5 "Fast Networks"), for messages adaptation
@@ -306,142 +262,138 @@ func (e *Engine) writeStream(src io.Reader, size int64, min, max codec.Level) (d
 	// seed it for compressible data: on a fast link the controller still
 	// compresses such a message, so its samples time the compressor, not
 	// the link, and read below the cutoff.
-	bypass := false
+	probe, bypass := false, false
 	if min == codec.MinLevel && !e.opts.DisableProbe {
-		probed := false
-		if e.link.Bps() == 0 && (size < 0 || size >= 2*DefaultProbeSize) {
-			probeBuf := bufpool.Get(DefaultProbeSize)
-			defer bufpool.Put(probeBuf)
-			n, rerr := io.ReadFull(src, probeBuf)
-			if rerr != nil && rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
-				return delivered, wireBytes, fmt.Errorf("adoc: reading source: %w", rerr)
+		probe = e.link.Bps() == 0 && (size < 0 || size >= 2*DefaultProbeSize)
+		bypass = !probe && e.link.Bps() > DefaultFastCutoffBps
+	}
+	if bypass {
+		e.stats.probeBypasses.Add(1)
+	}
+
+	// The probe prefix and the bypass send level-0 groups on this thread,
+	// one group per Write through the engine's sink: the probe one group
+	// of DefaultProbeSize that the controller hears about, the bypass
+	// groups of BufferSize that it does not. MsgEnd rides with the group
+	// that ends the message.
+	ended := false
+	for (probe || bypass) && remaining != 0 {
+		want := int64(e.opts.BufferSize)
+		if probe {
+			want = DefaultProbeSize
+		}
+		if remaining > 0 && remaining < want {
+			want = remaining
+		}
+		chunk := bufpool.Get(int(want))
+		n, rerr := io.ReadFull(src, chunk)
+		eof := rerr == io.EOF || rerr == io.ErrUnexpectedEOF
+		if remaining > 0 {
+			remaining -= int64(n)
+		} else if eof {
+			remaining = 0 // an unknown size ends here
+		}
+		if n > 0 {
+			s := &e.sink
+			s.open(len(head) + wire.GroupLen(n, e.opts.PacketSize) + wire.FrameMsgEndLen)
+			s.buf = append(s.buf, head...)
+			s.appendGroup(codec.MinLevel, chunk[:n], chunk[:n], e.opts.PacketSize)
+			if remaining == 0 {
+				s.buf = wire.AppendMsgEnd(s.buf)
+				ended = true
 			}
-			if n > 0 {
-				start := e.opts.Clock.Now()
-				w, err := e.writeRawGroupDirect(hdr, probeBuf[:n], false)
-				hdr = nil
-				wireBytes += w
-				if err != nil {
-					return delivered, wireBytes, err
-				}
-				delivered += int64(n)
-				e.ctrl.RecordDelivery(codec.MinLevel, n, e.opts.Clock.Now().Sub(start))
-				if remaining >= 0 {
-					remaining -= int64(n)
-				}
-				e.stats.rawSent.Add(int64(n))
-				probed = true
+			head = nil
+			d, w, err := e.emit(s, e.sendTC, 0, bypass)
+			delivered += d
+			wireBytes += int64(w)
+			if err != nil {
+				bufpool.Put(chunk)
+				return delivered, wireBytes, err
 			}
-			if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-				remaining = 0
+			if probe {
+				probe = false
+				bypass = e.link.Bps() > DefaultFastCutoffBps
+				if bypass {
+					e.stats.probeBypasses.Add(1)
+				}
+				if e.opts.Trace.OnProbe != nil {
+					e.opts.Trace.OnProbe(e.link.Bps(), bypass)
+				}
 			}
 		}
-		bypass = e.link.Bps() > DefaultFastCutoffBps
-		if probed && e.opts.Trace.OnProbe != nil {
-			e.opts.Trace.OnProbe(e.link.Bps(), bypass)
+		bufpool.Put(chunk)
+		switch {
+		case eof && remaining > 0:
+			return delivered, wireBytes, fmt.Errorf("adoc: source ended %d bytes early: %w", remaining, io.ErrUnexpectedEOF)
+		case rerr != nil && !eof:
+			return delivered, wireBytes, fmt.Errorf("adoc: reading source: %w", rerr)
 		}
 	}
 
-	if bypass {
-		e.stats.probeBypasses.Add(1)
-		d, w, err := e.sendRawBypass(src, remaining, hdr)
+	if !ended && remaining != 0 {
+		d, w, err := e.sendPipeline(src, remaining, head)
 		delivered += d
 		wireBytes += w
 		if err != nil {
 			return delivered, wireBytes, err
 		}
-		e.stats.msgsSent.Add(1)
-		return delivered, wireBytes, nil
+		if d > 0 {
+			head = nil // it rode with the first buffer
+		}
 	}
-
-	if hdr != nil {
-		hn, err := e.rw.Write(hdr)
-		wireBytes += int64(hn)
+	if !ended {
+		// After the pipeline, or when the source ended on a buffer
+		// boundary, MsgEnd (behind the header, if that is still unsent)
+		// goes out on its own.
+		s := &e.sink
+		s.open(len(head) + wire.FrameMsgEndLen)
+		s.buf = wire.AppendMsgEnd(append(s.buf, head...))
+		_, w, err := e.emit(s, e.sendTC, 0, false)
+		wireBytes += int64(w)
 		if err != nil {
 			return delivered, wireBytes, err
 		}
-	}
-	d, w, err := e.sendPipeline(src, remaining)
-	delivered += d
-	wireBytes += w
-	if err != nil {
-		return delivered, wireBytes, err
-	}
-	en, err := e.rw.Write(wire.AppendMsgEnd(nil))
-	wireBytes += int64(en)
-	if err != nil {
-		return delivered, wireBytes, err
 	}
 	e.stats.msgsSent.Add(1)
 	return delivered, wireBytes, nil
 }
 
-// writeRawGroupDirect writes one level-0 group synchronously (probe and
-// bypass paths run on the caller thread; no pipeline exists yet). The
-// group is framed into one pooled buffer behind head (the stream header,
-// while it is unsent) and, when last, ahead of MsgEnd, so it costs a
-// single Write, which feeds the link estimate. Bytes a failed Write did
-// manage to push are included in the returned count.
-func (e *Engine) writeRawGroupDirect(head, chunk []byte, last bool) (int64, error) {
-	frame := bufpool.Get(len(head) + wire.GroupLen(len(chunk), e.opts.PacketSize) + wire.FrameMsgEndLen)[:0]
-	frame = append(frame, head...)
-	frame = wire.AppendGroup(frame, codec.MinLevel, chunk, e.opts.PacketSize, len(chunk), wire.Checksum(chunk))
-	if last {
-		frame = wire.AppendMsgEnd(frame)
-	}
+// emit is the one send step: it writes the framed bytes of s with a
+// single Write, recycles s's buffer, and accounts for the Write. The link
+// estimate hears it and wireSent counts what the socket took. Each group
+// fully on the socket counts as delivered (rawSent and the returned
+// total) and gets its share of the Write's time, in proportion to its
+// wire bytes, for its wire span and — unless bypass, where the controller
+// neither picked the level nor hears about the group — for the
+// controller's delivered bandwidth and OnGroupSent, which reports queued
+// as the FIFO occupancy.
+func (e *Engine) emit(s *frameSink, tc obs.TraceContext, queued int, bypass bool) (delivered int64, n int, err error) {
 	start := e.opts.Clock.Now()
-	n, err := e.rw.Write(frame)
-	e.link.add(n, start, e.opts.Clock.Now())
-	bufpool.Put(frame)
-	return int64(n), err
-}
-
-// sendRawBypass sends the remainder of the message uncompressed on the
-// caller thread — the Gbit fast path where "we send the remaining data
-// uncompressed" — through MsgEnd. head, when non-nil, is the unsent
-// stream header; it goes out in the same Write as the first group, and
-// MsgEnd in the same Write as the last one. remaining < 0 means until EOF.
-func (e *Engine) sendRawBypass(src io.Reader, remaining int64, head []byte) (delivered, wireBytes int64, err error) {
-	buf := bufpool.Get(e.opts.BufferSize)
-	defer bufpool.Put(buf)
-	for remaining != 0 {
-		want := int64(len(buf))
-		if remaining > 0 && remaining < want {
-			want = remaining
-		}
-		n, rerr := io.ReadFull(src, buf[:want])
-		eof := rerr == io.EOF || rerr == io.ErrUnexpectedEOF
-		if n > 0 {
-			if remaining > 0 {
-				remaining -= int64(n)
-			}
-			last := remaining == 0 || remaining < 0 && eof
-			w, err := e.writeRawGroupDirect(head, buf[:n], last)
-			head = nil
-			wireBytes += w
-			if err != nil {
-				return delivered, wireBytes, err
-			}
-			delivered += int64(n)
-			e.stats.rawSent.Add(int64(n))
-			if last {
-				return delivered, wireBytes, nil
-			}
-		}
-		if eof {
-			if remaining > 0 {
-				return delivered, wireBytes, fmt.Errorf("adoc: source ended %d bytes early: %w", remaining, io.ErrUnexpectedEOF)
-			}
+	n, err = e.rw.Write(s.buf)
+	end := e.opts.Clock.Now()
+	e.link.add(n, start, end)
+	e.stats.wireSent.Add(int64(n))
+	for _, g := range s.groups {
+		if n < g.end {
 			break
 		}
-		if rerr != nil {
-			return delivered, wireBytes, fmt.Errorf("adoc: reading source: %w", rerr)
+		gw := g.end - g.start
+		delivered += int64(g.raw)
+		dur := end.Sub(start) * time.Duration(gw) / time.Duration(len(s.buf))
+		if tc.Sampled {
+			e.opts.FlowTracer.Record(tc, 0, obs.StageWire, start, dur, gw, int(g.level))
+		}
+		if bypass {
+			continue
+		}
+		e.ctrl.RecordDelivery(g.level, g.raw, dur)
+		if e.opts.Trace.OnGroupSent != nil {
+			e.opts.Trace.OnGroupSent(g.level, g.raw, gw, queued)
 		}
 	}
-	// The source ended on a buffer boundary (or sent nothing): MsgEnd,
-	// behind the header if that is still unsent, goes out on its own.
-	w, err := e.rw.Write(wire.AppendMsgEnd(head))
-	return delivered, wireBytes + int64(w), err
+	e.stats.rawSent.Add(delivered)
+	s.release()
+	return delivered, n, err
 }
 
 // emitResult is the emission thread's final report. rawDelivered is the
@@ -452,51 +404,35 @@ type emitResult struct {
 	err          error
 }
 
-// runEmitter is the emission thread: it drains the FIFO onto the socket,
-// feeds each Write to the link estimate, and measures
-// per-group delivery time, feeding the divergence guard.
-// The message's flow-trace context arrives as a parameter (captured
-// under wmu at spawn), so a sampled message's wire spans need no shared
-// state with the writer.
-func (e *Engine) runEmitter(q *fifo.Queue[segment], res chan<- emitResult, tc obs.TraceContext) {
-	var wireBytes, rawDelivered int64
-	var groupStart time.Time
+// runEmitter is the emission thread: it takes framed buffers from the
+// FIFO in order and emits each with one Write. A buffer leaves the FIFO's
+// count when it is popped but still counts toward the controller's
+// occupancy, through backlog, until its Write returns. The message's
+// flow-trace context arrives as a parameter (captured under wmu at
+// spawn), so a sampled message's wire spans need no shared state with
+// the writer.
+func (e *Engine) runEmitter(q *fifo.Queue[frameSink], backlog *atomic.Int64, res chan<- emitResult, tc obs.TraceContext) {
+	var r emitResult
 	for {
-		seg, err := q.Pop()
-		if err == io.EOF {
-			res <- emitResult{wireBytes, rawDelivered, nil}
-			return
-		}
+		s, err := q.Pop()
 		if err != nil {
-			res <- emitResult{wireBytes, rawDelivered, err}
+			if err != io.EOF {
+				r.err = err
+			}
+			res <- r
 			return
 		}
-		start := e.opts.Clock.Now()
-		if seg.groupStart {
-			groupStart = start
-		}
-		n, werr := e.rw.Write(seg.data)
-		end := e.opts.Clock.Now()
-		e.link.add(n, start, end)
-		wireBytes += int64(n)
+		backlog.Add(int64(s.packets))
+		d, n, werr := e.emit(&s, tc, q.Len(), false)
+		backlog.Add(-int64(s.packets))
+		r.rawDelivered += d
+		r.wireBytes += int64(n)
 		if werr != nil {
 			q.Abort(werr)
-			res <- emitResult{wireBytes, rawDelivered, werr}
+			r.err = werr
+			res <- r
 			return
 		}
-		if seg.groupEnd {
-			rawDelivered += int64(seg.groupRaw)
-			dur := end.Sub(groupStart)
-			e.ctrl.RecordDelivery(seg.level, seg.groupRaw, dur)
-			if tc.Sampled {
-				e.opts.FlowTracer.Record(tc, 0, obs.StageWire, groupStart, dur, seg.groupWire, int(seg.level))
-			}
-			if e.opts.Trace.OnGroupSent != nil {
-				e.opts.Trace.OnGroupSent(seg.level, seg.groupRaw, seg.groupWire, q.Len())
-			}
-		}
-		// The frame's bytes are on the socket; recycle its buffer.
-		bufpool.Put(seg.data)
 	}
 }
 
@@ -597,16 +533,7 @@ func (e *Engine) compressBufferAt(dst *frameSink, level codec.Level, chunk, scra
 // pushBlockGroup frames a fully materialized group (raw or LZF block).
 // raw is the uncompressed data (for the checksum).
 func (e *Engine) pushBlockGroup(dst *frameSink, level codec.Level, block, raw []byte) {
-	if dst.flat {
-		dst.appendGroup(level, block, raw, e.opts.PacketSize)
-		// One per segment the packetizer would have queued: each full
-		// packet, plus the one that closes the group.
-		e.ctrl.NotePacketsSent(len(block)/e.opts.PacketSize + 1)
-		return
-	}
-	p := newPacketizer(e, dst, level)
-	_, _ = p.Write(block) // appends to dst; cannot fail
-	p.finish(len(raw), wire.Checksum(raw))
+	e.ctrl.NotePacketsSent(dst.appendGroup(level, block, raw, e.opts.PacketSize))
 }
 
 // pushFlateGroup streams chunk through a DEFLATE compressor, checking the
@@ -650,45 +577,70 @@ func (e *Engine) pushFlateGroup(dst *frameSink, level codec.Level, chunk []byte)
 	return nil
 }
 
-// frameSink collects the wire frames of one compressed buffer: one
-// segment per packet for the emission FIFO, or, when flat, every frame
-// appended to buf for a single Write, with groups marking where each
-// group ends.
+// frameSink holds the wire bytes of one Write: whole framed groups in
+// order, behind the stream header when the Write starts a message and
+// ahead of MsgEnd when it ends one, with where each group lies and how
+// many FIFO packets the groups hold. It is the send side's only framing
+// type: the caller's goroutine fills the engine's sink, a pipeline worker
+// one per buffer, and emit writes either.
 type frameSink struct {
-	segs   segList
-	flat   bool
 	buf    []byte
-	groups []flatGroup
+	groups []sinkGroup
+	// packets counts each group's full packets plus the one that closes
+	// it: the segments of a packet FIFO, the occupancy unit the
+	// controller reads.
+	packets int
 }
 
-// flatGroup is one group of a flat sink: its level, raw size, and the
-// offset in buf just past its groupEnd frame.
-type flatGroup struct {
-	level    codec.Level
-	raw, end int
+// sinkGroup is one group of a sink: its level, raw size, and the span
+// [start, end) of its frames in buf.
+type sinkGroup struct {
+	level      codec.Level
+	raw        int
+	start, end int
 }
 
-// appendGroup frames one whole group into a flat sink.
-func (s *frameSink) appendGroup(level codec.Level, block, raw []byte, packetSize int) {
+// open readies s for a new Write of up to n bytes, on a pooled buffer.
+func (s *frameSink) open(n int) {
+	s.buf = bufpool.Get(n)[:0]
+	s.groups = s.groups[:0]
+	s.packets = 0
+}
+
+// release recycles s's buffer, if it still holds one.
+func (s *frameSink) release() {
+	if s.buf != nil {
+		bufpool.Put(s.buf)
+		s.buf = nil
+	}
+}
+
+// appendGroup frames one whole group and returns the packets it adds.
+func (s *frameSink) appendGroup(level codec.Level, block, raw []byte, packetSize int) int {
+	start := len(s.buf)
 	s.buf = wire.AppendGroup(s.buf, level, block, packetSize, len(raw), wire.Checksum(raw))
-	s.groups = append(s.groups, flatGroup{level: level, raw: len(raw), end: len(s.buf)})
+	s.groups = append(s.groups, sinkGroup{level: level, raw: len(raw), start: start, end: len(s.buf)})
+	packets := len(block)/packetSize + 1
+	s.packets += packets
+	return packets
 }
 
-// packetizer is an io.Writer that cuts a group's byte stream into
-// packet frames of at most PacketSize payload bytes. Its writes only
-// append to a frame sink, so they never fail.
+// packetizer is an io.Writer that cuts a group's compressed byte stream
+// into packet frames of at most PacketSize payload bytes, appended to a
+// sink behind the group's begin frame. Its writes never fail.
 type packetizer struct {
 	e       *Engine
 	dst     *frameSink
 	level   codec.Level
+	start   int // offset of the group's begin frame in dst.buf
 	pending []byte
-	first   bool
 	total   int // compressed bytes accepted so far
-	wire    int // wire bytes pushed so far (framing included)
 }
 
 func newPacketizer(e *Engine, dst *frameSink, level codec.Level) *packetizer {
-	return &packetizer{e: e, dst: dst, level: level, first: true,
+	start := len(dst.buf)
+	dst.buf = wire.AppendGroupBegin(dst.buf, level)
+	return &packetizer{e: e, dst: dst, level: level, start: start,
 		pending: bufpool.Get(e.opts.PacketSize)[:0]}
 }
 
@@ -710,55 +662,24 @@ func (p *packetizer) Write(b []byte) (int, error) {
 	return n, nil
 }
 
-// flushPacket appends the pending payload as one segment (or, to a flat
-// sink, as frames). When end is true the groupEnd frame (with rawLen and
-// checksum) is glued onto the same segment so the group closes without
-// an extra FIFO slot.
+// flushPacket frames the pending payload as one packet. When end is true
+// the groupEnd frame (with rawLen and checksum) follows it, so the packet
+// that closes the group counts once however little payload it carries.
 func (p *packetizer) flushPacket(end bool, rawLen int, sum uint32) {
 	if len(p.pending) == 0 && !end {
 		return
 	}
-	var frame []byte
-	if p.dst.flat {
-		frame = p.dst.buf
-	} else {
-		// The frame buffer travels through the FIFO to the emission
-		// thread, which recycles it after the socket write.
-		frame = bufpool.Get(len(p.pending) + maxFrameOverhead)[:0]
-	}
-	before := len(frame)
-	if p.first {
-		frame = wire.AppendGroupBegin(frame, p.level)
-	}
+	s := p.dst
 	if len(p.pending) > 0 {
-		frame = wire.AppendPacket(frame, p.pending)
+		s.buf = wire.AppendPacket(s.buf, p.pending)
 	}
 	if end {
-		frame = wire.AppendGroupEnd(frame, rawLen, sum)
+		s.buf = wire.AppendGroupEnd(s.buf, rawLen, sum)
+		s.groups = append(s.groups, sinkGroup{level: p.level, raw: rawLen, start: p.start, end: len(s.buf)})
 	}
+	s.packets++
 	p.e.ctrl.NotePacketsSent(1)
-	p.wire += len(frame) - before
-	first := p.first
-	p.first = false
 	p.pending = p.pending[:0]
-	if p.dst.flat {
-		p.dst.buf = frame
-		if end {
-			p.dst.groups = append(p.dst.groups, flatGroup{level: p.level, raw: rawLen, end: len(frame)})
-		}
-		return
-	}
-	seg := segment{
-		data:       frame,
-		groupStart: first,
-		groupEnd:   end,
-		level:      p.level,
-	}
-	if end {
-		seg.groupRaw = rawLen
-		seg.groupWire = p.wire
-	}
-	p.dst.segs = append(p.dst.segs, seg)
 }
 
 // finish closes the group, emitting any partial packet plus the groupEnd
@@ -768,7 +689,3 @@ func (p *packetizer) finish(rawLen int, sum uint32) {
 	bufpool.Put(p.pending)
 	p.pending = nil
 }
-
-// maxFrameOverhead bounds the non-payload bytes a single segment can carry:
-// a group-begin prefix plus packet framing plus a glued group-end tail.
-const maxFrameOverhead = wire.FrameGroupBeginLen + wire.FramePacketOverhead + wire.FrameGroupEndLen

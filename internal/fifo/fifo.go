@@ -1,10 +1,12 @@
 // Package fifo provides the bounded FIFO queue shared between the AdOC
 // compression and emission threads (paper §3.1). It is the send side's
 // only queue; the receive side hands groups to its reader over channels
-// and needs none. The queue stores packets; its occupancy n and the
-// variation δ of n between level updates are the only signals the
-// adaptive controller uses (paper Figure 2), so the queue exposes them
-// explicitly.
+// and needs none. Each item carries a weight, and the queue is bounded
+// by, and reports, the total weight of its items rather than their
+// number: the sender queues one framed buffer per item, weighted by its
+// packets, so the occupancy n and the variation δ of n between level
+// updates — the only signals the adaptive controller uses (paper
+// Figure 2) — still count stored packets.
 //
 // The queue is bounded so that a stalled link cannot grow sender memory
 // without limit; a blocked producer only ever raises the occupancy signal,
@@ -20,16 +22,18 @@ import (
 // ErrClosed is returned by Push after CloseSend or Abort.
 var ErrClosed = errors.New("fifo: queue closed")
 
-// Queue is a bounded, thread-safe FIFO. The zero value is not usable; use
-// New.
+// Queue is a bounded, thread-safe FIFO of weighted items. The zero value
+// is not usable; use New.
 type Queue[T any] struct {
 	mu       sync.Mutex
 	notEmpty sync.Cond
 	notFull  sync.Cond
 
-	items []T // ring buffer
-	head  int
-	count int
+	items    []item[T] // ring buffer; every weight is at least 1, so capacity items always fit
+	head     int
+	count    int // items queued
+	weight   int // their total weight
+	capacity int
 
 	sendClosed bool  // no more pushes; pops drain remaining items
 	aborted    bool  // terminal failure; pops fail immediately
@@ -38,23 +42,35 @@ type Queue[T any] struct {
 	highWater int
 }
 
-// New returns an empty queue holding at most capacity items.
+type item[T any] struct {
+	v      T
+	weight int
+}
+
+// New returns an empty queue holding items of at most capacity total
+// weight.
 func New[T any](capacity int) *Queue[T] {
 	if capacity <= 0 {
 		panic("fifo: capacity must be positive")
 	}
-	q := &Queue[T]{items: make([]T, capacity)}
+	q := &Queue[T]{items: make([]item[T], capacity), capacity: capacity}
 	q.notEmpty.L = &q.mu
 	q.notFull.L = &q.mu
 	return q
 }
 
-// Push appends v, blocking while the queue is full. It returns ErrClosed
-// after CloseSend, or the abort cause after Abort.
-func (q *Queue[T]) Push(v T) error {
+// Push appends v with the given weight (at least 1), blocking while the
+// queue holds items and v would take their total weight past the
+// capacity. An item heavier than the capacity enters an empty queue, so
+// no weight blocks forever. Push returns ErrClosed after CloseSend, or
+// the abort cause after Abort.
+func (q *Queue[T]) Push(v T, weight int) error {
+	if weight < 1 {
+		panic("fifo: weight must be positive")
+	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.count == len(q.items) && !q.sendClosed && !q.aborted {
+	for q.count > 0 && q.weight+weight > q.capacity && !q.sendClosed && !q.aborted {
 		q.notFull.Wait()
 	}
 	if q.aborted {
@@ -66,11 +82,10 @@ func (q *Queue[T]) Push(v T) error {
 	if q.sendClosed {
 		return ErrClosed
 	}
-	q.items[(q.head+q.count)%len(q.items)] = v
+	q.items[(q.head+q.count)%len(q.items)] = item[T]{v, weight}
 	q.count++
-	if q.count > q.highWater {
-		q.highWater = q.count
-	}
+	q.weight += weight
+	q.highWater = max(q.highWater, q.weight)
 	q.notEmpty.Signal()
 	return nil
 }
@@ -95,12 +110,14 @@ func (q *Queue[T]) Pop() (T, error) {
 	if q.count == 0 {
 		return zero, io.EOF // sendClosed and drained
 	}
-	v := q.items[q.head]
-	q.items[q.head] = zero // release the reference for the GC
+	it := q.items[q.head]
+	q.items[q.head] = item[T]{} // release the reference for the GC
 	q.head = (q.head + 1) % len(q.items)
 	q.count--
-	q.notFull.Signal()
-	return v, nil
+	q.weight -= it.weight
+	// Producers wait for different weights: wake them all to re-check.
+	q.notFull.Broadcast()
+	return it.v, nil
 }
 
 // CloseSend marks the producer side finished. Blocked and future pushes
@@ -129,24 +146,25 @@ func (q *Queue[T]) Abort(err error) {
 	q.aborted = true
 	q.err = err
 	// Drop references so the GC can reclaim payloads immediately.
-	var zero T
 	for i := 0; i < q.count; i++ {
-		q.items[(q.head+i)%len(q.items)] = zero
+		q.items[(q.head+i)%len(q.items)] = item[T]{}
 	}
 	q.count = 0
+	q.weight = 0
 	q.notEmpty.Broadcast()
 	q.notFull.Broadcast()
 }
 
-// Len returns the current occupancy n — the "number of stored packets" of
-// paper Figure 2.
+// Len returns the current occupancy n: the total weight of the queued
+// items — for the sender, the "number of stored packets" of paper
+// Figure 2.
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.count
+	return q.weight
 }
 
-// HighWater returns the maximum occupancy ever reached.
+// HighWater returns the highest occupancy ever reached, in weight.
 func (q *Queue[T]) HighWater() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
