@@ -48,21 +48,6 @@ const (
 	MaxLevel = codec.MaxLevel
 )
 
-// CodecMask is a codec capability set, one bit per codec identity — the
-// unit the adocnet handshake advertises and intersects. The zero value
-// means "everything registered".
-type CodecMask = codec.Mask
-
-// Codec capability bits and the legacy fixed set.
-const (
-	MaskRaw     = codec.MaskRaw
-	MaskLZF     = codec.MaskLZF
-	MaskDeflate = codec.MaskDeflate
-	// LegacyCodecMask is the fixed raw/LZF/DEFLATE ladder every peer spoke
-	// before codec sets were negotiated.
-	LegacyCodecMask = codec.LegacyMask
-)
-
 // Errors re-exported from the engine.
 var (
 	// ErrClosed is returned by operations on a closed connection.
@@ -232,7 +217,6 @@ type AdaptCause = adapt.Cause
 // Transition causes, re-exported from the controller.
 const (
 	AdaptCauseQueue      = adapt.CauseQueue
-	AdaptCauseCodec      = adapt.CauseCodec
 	AdaptCausePenalty    = adapt.CausePenalty
 	AdaptCauseDivergence = adapt.CauseDivergence
 	AdaptCausePin        = adapt.CausePin

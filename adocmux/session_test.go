@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"adoc/adocnet"
+	"adoc/internal/testutil"
 	"adoc/internal/wire"
 )
 
@@ -70,9 +72,7 @@ func compressible(n int, seed int64) []byte {
 }
 
 func TestMuxRequiresNegotiatedCapability(t *testing.T) {
-	opts := TransportOptions()
-	opts.DisableMux = true
-	ln, err := adocnet.Listen("tcp", "127.0.0.1:0", opts)
+	ln, err := adocnet.Listen("tcp", "127.0.0.1:0", TransportOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +83,15 @@ func TestMuxRequiresNegotiatedCapability(t *testing.T) {
 			io.Copy(io.Discard, c)
 		}
 	}()
-	conn, err := adocnet.Dial("tcp", ln.Addr().String(), TransportOptions())
+	// The listener's end looks like a build that predates the mux
+	// capability to both handshakes.
+	raw, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := adocnet.Handshake(testutil.ClearHandshakeBits(raw, wire.HandshakeFlagMux, 0), TransportOptions())
+	if err != nil {
+		raw.Close()
 		t.Fatal(err)
 	}
 	defer conn.Close()

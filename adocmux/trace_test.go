@@ -10,6 +10,8 @@ import (
 
 	"adoc"
 	"adoc/adocnet"
+	"adoc/internal/testutil"
+	"adoc/internal/wire"
 )
 
 // captureConn records every byte written to the underlying connection,
@@ -47,7 +49,6 @@ func runAgainstLegacyPeer(t *testing.T, tracer *adoc.FlowTracer) []byte {
 	defer ln.Close()
 
 	legacyOpts := TransportOptions()
-	legacyOpts.DisableTrace = true // a build that predates flow tracing
 	legacyOpts.MinLevel, legacyOpts.MaxLevel = 0, 0
 
 	type res struct {
@@ -61,7 +62,8 @@ func runAgainstLegacyPeer(t *testing.T, tracer *adoc.FlowTracer) []byte {
 			done <- res{nil, err}
 			return
 		}
-		conn, err := adocnet.Handshake(raw, legacyOpts)
+		// A build that predates flow tracing.
+		conn, err := adocnet.Handshake(testutil.ClearHandshakeBits(raw, wire.HandshakeFlagTrace, 0), legacyOpts)
 		if err != nil {
 			done <- res{nil, err}
 			return

@@ -7,14 +7,17 @@
 // middleware; this package adds the missing operational half of that
 // story. Opening a connection performs a versioned handshake: each side
 // sends one frame (magic, protocol version range, its effective packet
-// and buffer sizes, its compression level bounds) and both sides
-// deterministically agree on the intersection they can honor — the
-// highest common protocol version, the smaller packet and buffer sizes,
-// and the overlap of the level ranges. Endpoints configured differently
+// and buffer sizes, its compression level bounds, its capability flags
+// and its codec mask) and both sides deterministically agree on the
+// intersection they can honor — the highest common protocol version, the
+// smaller packet and buffer sizes, the overlap of the level ranges, and
+// the capabilities (mux, trace) both advertise. The codec mask is not
+// negotiated: every build offers the paper's fixed ladder (raw, LZF,
+// DEFLATE) and requires it of its peer. Endpoints configured differently
 // therefore converge on one consistent configuration, and incompatible
-// peers (no common version, disjoint level ranges, or a peer that is not
-// speaking AdOC at all) fail loudly with a typed error rather than
-// silently corrupting the stream.
+// peers (no common version, disjoint level ranges, a codec mask missing
+// part of the ladder, or a peer that is not speaking AdOC at all) fail
+// loudly with a typed error rather than silently corrupting the stream.
 //
 // The handshake is symmetric — both sides send first, then read — so the
 // same code runs on the dialing and the accepting end, and middleware
@@ -30,6 +33,7 @@ import (
 	"time"
 
 	"adoc"
+	"adoc/internal/codec"
 	"adoc/internal/obs"
 	"adoc/internal/wire"
 )
@@ -72,10 +76,10 @@ var (
 	// ErrLevelMismatch reports disjoint compression level ranges (for
 	// example one side forcing compression the other side forbids).
 	ErrLevelMismatch = errors.New("adocnet: no common compression level range")
-	// ErrCodecMismatch reports that the peers share no codec set able to
-	// honor the negotiated level range — for example one side forcing
-	// DEFLATE levels while the other side's capability mask lacks the
-	// DEFLATE codec, or a peer whose mask omits even raw copy.
+	// ErrCodecMismatch reports a peer whose codec mask lacks raw copy,
+	// LZF or DEFLATE: it cannot decode every level of the ladder, which
+	// every build offers in full. No build of this library sends such a
+	// mask; only a foreign or broken peer does.
 	ErrCodecMismatch = errors.New("adocnet: no common codec set")
 )
 
@@ -101,19 +105,6 @@ type Options struct {
 	// own (Handshake's NetSolve-style use) should pass a negative value
 	// and keep managing the deadline themselves.
 	HandshakeTimeout time.Duration
-
-	// DisableMux stops this endpoint from advertising the adocmux
-	// capability, making it indistinguishable (for negotiation purposes)
-	// from a peer built before stream multiplexing existed. Mux sessions
-	// require both sides to advertise; see Negotiated.Mux.
-	DisableMux bool
-
-	// DisableTrace stops this endpoint from advertising the mux
-	// session-metadata capability (flow-trace contexts, stream origin
-	// addresses), making it look like a peer built before flow tracing
-	// existed. Local span recording still works with it disabled — only
-	// cross-hop propagation needs both sides; see Negotiated.Trace.
-	DisableTrace bool
 }
 
 // Defaults returns the paper configuration with the full adaptive level
@@ -129,14 +120,8 @@ type Negotiated struct {
 	Version byte
 	// PacketSize and BufferSize are the smaller of the two offers.
 	PacketSize, BufferSize int
-	// MinLevel and MaxLevel are the intersection of the offered ranges,
-	// additionally clamped to levels the negotiated codec set can serve.
+	// MinLevel and MaxLevel are the intersection of the offered ranges.
 	MinLevel, MaxLevel adoc.Level
-	// Codecs is the intersection of both endpoints' codec capability
-	// masks — the codecs either side may legitimately put on the wire.
-	// Legacy peers that predate the mask negotiate the fixed
-	// raw/LZF/DEFLATE set.
-	Codecs adoc.CodecMask
 	// Mux reports that both endpoints advertised the stream-multiplexing
 	// capability, so an adocmux.Session may be started on this
 	// connection. Peers that predate the capability never advertise it,
@@ -152,8 +137,8 @@ type Negotiated struct {
 }
 
 func (n Negotiated) String() string {
-	s := fmt.Sprintf("v%d packet=%d buffer=%d levels=[%d,%d] codecs=%v",
-		n.Version, n.PacketSize, n.BufferSize, n.MinLevel, n.MaxLevel, n.Codecs)
+	s := fmt.Sprintf("v%d packet=%d buffer=%d levels=[%d,%d]",
+		n.Version, n.PacketSize, n.BufferSize, n.MinLevel, n.MaxLevel)
 	if n.Mux {
 		s += " +mux"
 	}
@@ -164,8 +149,9 @@ func (n Negotiated) String() string {
 }
 
 // offer builds the handshake frame this endpoint sends: its effective
-// (default-resolved) sizes and bounds, and the protocol versions this
-// library implements. The resolution is adoc.Options.Effective — the very
+// (default-resolved) sizes and bounds, the protocol versions this library
+// implements, and the fixed capability flags and codec mask every build
+// advertises. The resolution is adoc.Options.Effective — the very
 // rules the engine runs — so the offer can never drift from the
 // configuration a plain adoc endpoint would actually use.
 func offer(o Options) (wire.Handshake, error) {
@@ -183,13 +169,6 @@ func offer(o Options) (wire.Handshake, error) {
 	if eff.BufferSize < eff.PacketSize {
 		eff.BufferSize = eff.PacketSize
 	}
-	var flags uint16
-	if !o.DisableMux {
-		flags |= wire.HandshakeFlagMux
-	}
-	if !o.DisableTrace {
-		flags |= wire.HandshakeFlagTrace
-	}
 	return wire.Handshake{
 		MinVersion: wire.Version,
 		MaxVersion: wire.Version,
@@ -197,11 +176,8 @@ func offer(o Options) (wire.Handshake, error) {
 		BufferSize: uint32(eff.BufferSize),
 		MinLevel:   eff.MinLevel,
 		MaxLevel:   eff.MaxLevel,
-		Flags:      flags,
-		// Effective() resolved the codec set the engine will actually run
-		// (the full registry unless Options.Codecs restricted it, raw
-		// always included), so the offer advertises exactly that.
-		CodecMask: eff.Codecs,
+		Flags:      wire.HandshakeFlagMux | wire.HandshakeFlagTrace,
+		CodecMask:  codec.LegacyMask,
 	}, nil
 }
 
@@ -244,34 +220,15 @@ func negotiate(local, remote wire.Handshake) (Negotiated, error) {
 		return Negotiated{}, fmt.Errorf("%w: local [%d,%d], remote [%d,%d]",
 			ErrLevelMismatch, local.MinLevel, local.MaxLevel, remote.MinLevel, remote.MaxLevel)
 	}
-	// Codec sets intersect like every other capability. Raw copy is the
-	// one codec negotiation cannot lose: level-0 groups, the entropy
-	// bypass and the no-gain fallback all depend on it, and no real peer
-	// omits it (legacy frames decode to the full fixed set).
-	n.Codecs = local.CodecMask & remote.CodecMask
-	if n.Codecs&adoc.MaskRaw == 0 {
-		return Negotiated{}, fmt.Errorf("%w: local %v, remote %v (no raw copy)",
-			ErrCodecMismatch, local.CodecMask, remote.CodecMask)
+	// Both ends run the whole ladder: raw copy backs level 0, the entropy
+	// bypass and the no-gain fallback, and either side may pick any level
+	// in the agreed range. Legacy frames decode to the full fixed set, and
+	// bits beyond it (an older build's reserved dictionary codec) are
+	// ignored.
+	if local.CodecMask&remote.CodecMask&codec.LegacyMask != codec.LegacyMask {
+		return Negotiated{}, fmt.Errorf("%w: local %#04x, remote %#04x, need %#04x",
+			ErrCodecMismatch, local.CodecMask, remote.CodecMask, codec.LegacyMask)
 	}
-	// The agreed level range must be servable by the agreed codecs: the
-	// top clamps down to the highest level the intersection speaks, a
-	// forced minimum sitting on a mask hole resolves up to the lowest
-	// servable level (both sides compute the same, so the agreement stays
-	// symmetric), and a forced minimum beyond everything the intersection
-	// can serve fails loudly.
-	if top := n.Codecs.MaxUsableLevel(n.MaxLevel); top < n.MaxLevel {
-		if n.MinLevel > top {
-			return Negotiated{}, fmt.Errorf("%w: levels [%d,%d] need codecs beyond %v",
-				ErrCodecMismatch, n.MinLevel, n.MaxLevel, n.Codecs)
-		}
-		n.MaxLevel = top
-	}
-	minLevel, ok := n.Codecs.MinUsableLevel(n.MinLevel, n.MaxLevel)
-	if !ok {
-		return Negotiated{}, fmt.Errorf("%w: levels [%d,%d] need codecs beyond %v",
-			ErrCodecMismatch, n.MinLevel, n.MaxLevel, n.Codecs)
-	}
-	n.MinLevel = minLevel
 	return n, nil
 }
 
@@ -405,7 +362,6 @@ func Handshake(conn net.Conn, opts Options) (c *Conn, err error) {
 	eng.BufferSize = neg.BufferSize
 	eng.MinLevel = neg.MinLevel
 	eng.MaxLevel = neg.MaxLevel
-	eng.Codecs = neg.Codecs
 	ac, err := adoc.NewConn(conn, eng)
 	if err != nil {
 		return nil, err
@@ -420,7 +376,6 @@ func Handshake(conn net.Conn, opts Options) (c *Conn, err error) {
 		PacketSize:  neg.PacketSize,
 		BufferSize:  neg.BufferSize,
 		LevelBounds: [2]int{int(neg.MinLevel), int(neg.MaxLevel)},
-		Codecs:      neg.Codecs.String(),
 		Mux:         neg.Mux,
 		Trace:       neg.Trace,
 	})

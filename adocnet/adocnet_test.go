@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"adoc"
+	"adoc/internal/testutil"
 	"adoc/internal/wire"
 )
 
@@ -57,6 +58,56 @@ func pair(t *testing.T, client, server Options) (*Conn, *Conn) {
 	return cli, srv.c
 }
 
+// handshakeVia runs both handshakes over a loopback connection whose raw
+// ends first pass through their wrappers (nil for none) — how a test puts
+// an older or foreign peer on either end. It returns each end's result;
+// connections that come up are closed at cleanup.
+func handshakeVia(t *testing.T, client, server Options, wrapCli, wrapSrv func(net.Conn) net.Conn) (cli, srv *Conn, cerr, serr error) {
+	t.Helper()
+	wrap := func(c net.Conn, w func(net.Conn) net.Conn) net.Conn {
+		if w == nil {
+			return c
+		}
+		return w(c)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	type res struct {
+		c   *Conn
+		err error
+	}
+	ch := make(chan res, 1)
+	go func() {
+		raw, err := ln.Accept()
+		if err != nil {
+			ch <- res{nil, err}
+			return
+		}
+		c, err := Handshake(wrap(raw, wrapSrv), server)
+		if err != nil {
+			raw.Close()
+		}
+		ch <- res{c, err}
+	}()
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cli, cerr = Handshake(wrap(raw, wrapCli), client); cerr != nil {
+		raw.Close()
+	}
+	r := <-ch
+	for _, c := range []*Conn{cli, r.c} {
+		if c != nil {
+			t.Cleanup(func() { c.Close() })
+		}
+	}
+	return cli, r.c, cerr, r.err
+}
+
 func TestNegotiationIntersection(t *testing.T) {
 	client := Defaults()
 	client.PacketSize = 4096
@@ -71,8 +122,7 @@ func TestNegotiationIntersection(t *testing.T) {
 
 	cli, srv := pair(t, client, server)
 	want := Negotiated{Version: wire.Version, PacketSize: 4096, BufferSize: 64 * 1024,
-		MinLevel: 2, MaxLevel: 8, Codecs: adoc.LegacyCodecMask,
-		Mux: true, Trace: true}
+		MinLevel: 2, MaxLevel: 8, Mux: true, Trace: true}
 	if cli.Negotiated() != want {
 		t.Errorf("client negotiated %v, want %v", cli.Negotiated(), want)
 	}
@@ -83,8 +133,8 @@ func TestNegotiationIntersection(t *testing.T) {
 
 // TestMuxCapabilityNegotiation checks the session-upgrade bit: mux is on
 // only when BOTH endpoints advertise it, so a peer that predates the
-// capability (or disabled it) degrades the connection to plain message
-// traffic instead of breaking it.
+// capability degrades the connection to plain message traffic instead of
+// breaking it.
 func TestMuxCapabilityNegotiation(t *testing.T) {
 	cases := []struct {
 		name                 string
@@ -98,10 +148,18 @@ func TestMuxCapabilityNegotiation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			client, server := Defaults(), Defaults()
-			client.DisableMux = tc.clientOff
-			server.DisableMux = tc.serverOff
-			cli, srv := pair(t, client, server)
+			legacy := func(c net.Conn) net.Conn { return testutil.ClearHandshakeBits(c, wire.HandshakeFlagMux, 0) }
+			var wrapCli, wrapSrv func(net.Conn) net.Conn
+			if tc.clientOff {
+				wrapCli = legacy
+			}
+			if tc.serverOff {
+				wrapSrv = legacy
+			}
+			cli, srv, cerr, serr := handshakeVia(t, Defaults(), Defaults(), wrapCli, wrapSrv)
+			if cerr != nil || serr != nil {
+				t.Fatalf("handshake: client %v, server %v", cerr, serr)
+			}
 			if cli.Negotiated().Mux != tc.want || srv.Negotiated().Mux != tc.want {
 				t.Fatalf("mux = client %v / server %v, want %v",
 					cli.Negotiated().Mux, srv.Negotiated().Mux, tc.want)

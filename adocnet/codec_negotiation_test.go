@@ -7,43 +7,44 @@ import (
 	"net"
 	"testing"
 
-	"adoc"
+	"adoc/internal/codec"
+	"adoc/internal/testutil"
 	"adoc/internal/wire"
 )
 
-// TestCodecMaskNegotiation checks the codec capability set intersects like
-// the other handshake fields, and that the agreed level range is clamped
-// to what the intersection can actually serve.
+// TestCodecMaskNegotiation checks the codec mask check end to end: every
+// build offers the full raw/LZF/DEFLATE ladder, so two builds agree and
+// move data, while a peer whose mask lacks any codec fails with
+// ErrCodecMismatch on both ends. Each case clears the named codec bits
+// from both handshake frames crossing one end's connection.
 func TestCodecMaskNegotiation(t *testing.T) {
 	cases := []struct {
-		name           string
-		client, server adoc.CodecMask
-		wantCodecs     adoc.CodecMask
-		wantMax        adoc.Level
+		name               string
+		clearCli, clearSrv codec.Mask
 	}{
-		{"both full", 0, 0, adoc.LegacyCodecMask, 10},
-		{"server lzf only", 0, adoc.MaskRaw | adoc.MaskLZF, adoc.MaskRaw | adoc.MaskLZF, 1},
-		{"client raw only", adoc.MaskRaw, 0, adoc.MaskRaw, 0},
-		{"deflate without lzf", adoc.MaskRaw | adoc.MaskDeflate, 0, adoc.MaskRaw | adoc.MaskDeflate, 10},
+		{"both full", 0, 0},
+		{"server lzf only", 0, codec.MaskDeflate},
+		{"client raw only", codec.MaskLZF | codec.MaskDeflate, 0},
+		{"deflate without lzf", codec.MaskLZF, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			client, server := Defaults(), Defaults()
-			client.Codecs = tc.client
-			server.Codecs = tc.server
-			cli, srv := pair(t, client, server)
-			neg := cli.Negotiated()
-			if neg != srv.Negotiated() {
-				t.Fatalf("endpoints disagree: %v vs %v", neg, srv.Negotiated())
+			wrap := func(bits codec.Mask) func(net.Conn) net.Conn {
+				return func(c net.Conn) net.Conn { return testutil.ClearHandshakeBits(c, 0, bits) }
 			}
-			if neg.Codecs != tc.wantCodecs {
-				t.Errorf("negotiated codecs %v, want %v", neg.Codecs, tc.wantCodecs)
+			cli, srv, cerr, serr := handshakeVia(t, Defaults(), Defaults(), wrap(tc.clearCli), wrap(tc.clearSrv))
+			if tc.clearCli|tc.clearSrv != 0 {
+				if !errors.Is(cerr, ErrCodecMismatch) || !errors.Is(serr, ErrCodecMismatch) {
+					t.Fatalf("errors client %v, server %v, want ErrCodecMismatch on both", cerr, serr)
+				}
+				return
 			}
-			if neg.MaxLevel != tc.wantMax {
-				t.Errorf("negotiated MaxLevel %d, want %d (codecs %v)", neg.MaxLevel, tc.wantMax, neg.Codecs)
+			if cerr != nil || serr != nil {
+				t.Fatalf("handshake: client %v, server %v", cerr, serr)
 			}
-			// The agreed configuration moves data regardless of how narrow
-			// the codec set is.
+			if neg := cli.Negotiated(); neg != srv.Negotiated() || neg.MinLevel != 0 || neg.MaxLevel != 10 {
+				t.Fatalf("negotiated client %v, server %v, want levels [0,10] on both", neg, srv.Negotiated())
+			}
 			data := payload(1 << 20)
 			done := make(chan error, 1)
 			go func() {
@@ -64,37 +65,11 @@ func TestCodecMaskNegotiation(t *testing.T) {
 	}
 }
 
-// TestCodecMaskClampsOwnOffer: an endpoint whose codec set cannot serve
-// its configured level bounds never offers them — the offer resolves
-// through the same sanitation the engine runs, so the mismatch surfaces
-// as a plain level negotiation against honest bounds.
-func TestCodecMaskClampsOwnOffer(t *testing.T) {
-	forced := Defaults()
-	forced.MinLevel = 5 // demands DEFLATE
-	forced.MaxLevel = 10
-	rawOnly := Defaults()
-	rawOnly.Codecs = adoc.MaskRaw // can only offer [0,0]
-
-	ln, err := Listen("tcp", "127.0.0.1:0", rawOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		if c, err := ln.Accept(); err == nil {
-			c.Close()
-		}
-	}()
-	_, err = Dial("tcp", ln.Addr().String(), forced)
-	if !errors.Is(err, ErrLevelMismatch) {
-		t.Fatalf("err = %v, want ErrLevelMismatch", err)
-	}
-}
-
 // TestCodecMismatchForeignPeer exercises the negotiate-time codec guard
 // against offers our own builds never produce (a foreign or buggy
 // implementation): level bounds that require codecs missing from the
-// advertised mask, and a mask without raw copy at all.
+// advertised mask, a mask without raw copy at all, and a mask with a hole
+// at LZF under a forced minimum of 1.
 func TestCodecMismatchForeignPeer(t *testing.T) {
 	cases := []struct {
 		name string
@@ -104,13 +79,19 @@ func TestCodecMismatchForeignPeer(t *testing.T) {
 			MinVersion: wire.Version, MaxVersion: wire.Version,
 			PacketSize: 8192, BufferSize: 200 * 1024,
 			MinLevel: 5, MaxLevel: 10,
-			CodecMask: adoc.MaskRaw | adoc.MaskLZF,
+			CodecMask: codec.MaskRaw | codec.MaskLZF,
 		}},
 		{"no raw copy", wire.Handshake{
 			MinVersion: wire.Version, MaxVersion: wire.Version,
 			PacketSize: 8192, BufferSize: 200 * 1024,
 			MinLevel: 0, MaxLevel: 10,
-			CodecMask: adoc.MaskLZF | adoc.MaskDeflate,
+			CodecMask: codec.MaskLZF | codec.MaskDeflate,
+		}},
+		{"mask without lzf", wire.Handshake{
+			MinVersion: wire.Version, MaxVersion: wire.Version,
+			PacketSize: 8192, BufferSize: 200 * 1024,
+			MinLevel: 1, MaxLevel: 10,
+			CodecMask: codec.MaskRaw | codec.MaskDeflate,
 		}},
 	}
 	for _, tc := range cases {
@@ -138,48 +119,6 @@ func TestCodecMismatchForeignPeer(t *testing.T) {
 	}
 }
 
-// TestForeignMinOnMaskHoleResolvesUp: a foreign peer forcing min level 1
-// while advertising a mask without LZF must not make either side emit LZF
-// blocks — the negotiated minimum resolves up to the lowest level the
-// intersection can actually serve.
-func TestForeignMinOnMaskHoleResolvesUp(t *testing.T) {
-	h := wire.Handshake{
-		MinVersion: wire.Version, MaxVersion: wire.Version,
-		PacketSize: 8192, BufferSize: 200 * 1024,
-		MinLevel: 1, MaxLevel: 10,
-		CodecMask: adoc.MaskRaw | adoc.MaskDeflate,
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		raw, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer raw.Close()
-		raw.Write(wire.AppendHandshake(nil, h))
-		io.Copy(io.Discard, raw)
-	}()
-	conn, err := Dial("tcp", ln.Addr().String(), Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	neg := conn.Negotiated()
-	if neg.Codecs != adoc.MaskRaw|adoc.MaskDeflate {
-		t.Fatalf("negotiated codecs %v", neg.Codecs)
-	}
-	if neg.MinLevel != 2 {
-		t.Fatalf("negotiated MinLevel = %d, want 2 (forced min 1 over the lzf hole)", neg.MinLevel)
-	}
-	if neg.MaxLevel != 10 {
-		t.Fatalf("negotiated MaxLevel = %d, want 10", neg.MaxLevel)
-	}
-}
-
 // flaglessConn simulates a peer built before the handshake carried the
 // flags word and the codec mask: it truncates the outgoing handshake
 // frame to the original 12-byte payload. Everything after the handshake
@@ -192,10 +131,7 @@ type flaglessConn struct {
 func (c *flaglessConn) Write(p []byte) (int, error) {
 	if !c.rewrote && len(p) >= wire.MsgHeaderLen+2 && wire.Kind(p[3]) == wire.KindHandshake {
 		c.rewrote = true
-		legacy := append([]byte(nil), p[:wire.MsgHeaderLen]...)
-		legacy = append(legacy, 0, 12) // payloadLen = 12, big-endian
-		legacy = append(legacy, p[wire.MsgHeaderLen+2:wire.MsgHeaderLen+2+12]...)
-		if _, err := c.Conn.Write(legacy); err != nil {
+		if _, err := c.Conn.Write(legacyFrame(p)); err != nil {
 			return 0, err
 		}
 		return len(p), nil
@@ -215,13 +151,13 @@ func TestLegacyFlaglessPeerTransfer(t *testing.T) {
 	}
 	defer ln.Close()
 
-	// The legacy endpoint: flagless frame on the wire, and options whose
-	// semantics match what that frame conveys (no mux, fixed codec set),
-	// exactly like a build that predates both fields.
-	legacyOpts := Defaults()
-	legacyOpts.DisableMux = true
-	legacyOpts.DisableTrace = true
-	legacyOpts.Codecs = adoc.LegacyCodecMask
+	// The legacy endpoint: flagless frame on the wire, and a negotiation
+	// that sees what that frame conveys (no mux, no trace, fixed codec
+	// set) from both sides, exactly like a build that predates both
+	// fields.
+	legacy := func(c net.Conn) net.Conn {
+		return testutil.ClearHandshakeBits(&flaglessConn{Conn: c}, wire.HandshakeFlagMux|wire.HandshakeFlagTrace, 0)
+	}
 
 	type res struct {
 		c   *Conn
@@ -234,7 +170,7 @@ func TestLegacyFlaglessPeerTransfer(t *testing.T) {
 			ch <- res{nil, err}
 			return
 		}
-		c, err := Handshake(&flaglessConn{Conn: raw}, legacyOpts)
+		c, err := Handshake(legacy(raw), Defaults())
 		ch <- res{c, err}
 	}()
 
@@ -255,9 +191,6 @@ func TestLegacyFlaglessPeerTransfer(t *testing.T) {
 	neg := cli.Negotiated()
 	if neg.Mux {
 		t.Errorf("negotiated mux with a flagless peer: %v", neg)
-	}
-	if neg.Codecs != adoc.LegacyCodecMask {
-		t.Errorf("negotiated codecs %v, want legacy set %v", neg.Codecs, adoc.LegacyCodecMask)
 	}
 	if neg.MinLevel != 0 || neg.MaxLevel != 10 {
 		t.Errorf("negotiated levels [%d,%d], want [0,10]", neg.MinLevel, neg.MaxLevel)

@@ -52,7 +52,7 @@ func TestZeroSizedOptionsResolveToPaperConstants(t *testing.T) {
 	if e.Parallelism != core.DefaultParallelism() {
 		t.Fatalf("Parallelism = %d, want %d", e.Parallelism, core.DefaultParallelism())
 	}
-	if e.MinLevel != adoc.MinLevel || e.MaxLevel != adoc.MaxLevel || e.Codecs != adoc.LegacyCodecMask {
-		t.Fatalf("levels [%d,%d] codecs %v, want [0,10] over %v", e.MinLevel, e.MaxLevel, e.Codecs, adoc.LegacyCodecMask)
+	if e.MinLevel != adoc.MinLevel || e.MaxLevel != adoc.MaxLevel {
+		t.Fatalf("levels [%d,%d], want [0,10]", e.MinLevel, e.MaxLevel)
 	}
 }

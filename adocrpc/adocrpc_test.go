@@ -14,6 +14,8 @@ import (
 
 	"adoc/adocmux"
 	"adoc/adocnet"
+	"adoc/internal/testutil"
+	"adoc/internal/wire"
 )
 
 // compressible returns n bytes of repetitive-but-not-trivial data.
@@ -409,9 +411,7 @@ func TestPoolCloseDrainsThenRefuses(t *testing.T) {
 // TestNonMuxPeerRejected: a pool pointed at a peer that did not
 // negotiate the mux capability fails loudly instead of hanging.
 func TestNonMuxPeerRejected(t *testing.T) {
-	opts := adocnet.Defaults()
-	opts.DisableMux = true
-	ln, err := adocnet.Listen("tcp", "127.0.0.1:0", opts)
+	ln, err := adocnet.Listen("tcp", "127.0.0.1:0", adocnet.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,16 @@ func TestNonMuxPeerRejected(t *testing.T) {
 			defer c.Close()
 		}
 	}()
-	pool, err := DialPool("tcp", ln.Addr().String(), PoolConfig{DialTimeout: 5 * time.Second})
+	// The peer looks like a build that predates the mux capability to
+	// both handshakes.
+	pool, err := NewPool(PoolConfig{DialTimeout: 5 * time.Second, Dial: func(ctx context.Context) (net.Conn, error) {
+		var d net.Dialer
+		c, err := d.DialContext(ctx, "tcp", ln.Addr().String())
+		if err != nil {
+			return nil, err
+		}
+		return testutil.ClearHandshakeBits(c, wire.HandshakeFlagMux, 0), nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

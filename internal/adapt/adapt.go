@@ -84,8 +84,6 @@ type Cause string
 const (
 	// CauseQueue is the Figure 2 queue-occupancy rule.
 	CauseQueue Cause = "queue"
-	// CauseCodec is the capability-mask filter (peer cannot run the codec).
-	CauseCodec Cause = "codec"
 	// CausePenalty is the forbidden-level filter (divergence penalty still
 	// running from an earlier demotion).
 	CausePenalty Cause = "penalty"
@@ -113,12 +111,6 @@ type Transition struct {
 type Config struct {
 	Min, Max codec.Level
 	Clock    clock.Clock
-	// Codecs restricts levels to those whose codec both endpoints can run
-	// (the handshake-negotiated capability set). Zero means every codec in
-	// the default registry. Levels whose codec is missing are skipped the
-	// way forbidden levels are: the controller steps down to the nearest
-	// allowed one.
-	Codecs codec.Mask
 	// DisableDivergenceGuard turns off the per-level bandwidth
 	// comparison (for the ablation experiment).
 	DisableDivergenceGuard bool
@@ -137,9 +129,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = clock.System
-	}
-	if c.Codecs == 0 {
-		c.Codecs = codec.AllMask()
 	}
 	return c
 }
@@ -244,38 +233,13 @@ func (c *Controller) LevelForNextBuffer(queueLen int) codec.Level {
 	next := NextLevel(queueLen, delta, c.level, c.cfg.Min, c.cfg.Max)
 	now := c.cfg.Clock.Now()
 
-	// Codec filter: never pick a level whose codec the peer cannot run.
-	// Like the forbidden filter this steps down, so a mask with a hole
-	// (say deflate without LZF) routes level 1 requests to raw.
-	pre := next
-	for next > c.cfg.Min && !c.cfg.Codecs.AllowsLevel(next) {
-		next--
-	}
-	if next != pre {
-		cause = CauseCodec
-	}
-
 	// Forbidden-level filter: fall below any level still under penalty.
-	pre = next
+	pre := next
 	for next > c.cfg.Min && c.forbidden[next].After(now) {
 		next--
 	}
 	if next != pre {
 		cause = CausePenalty
-	}
-
-	// Both filters step down, so they can land on a level the codec set
-	// cannot serve (Min itself on a mask hole, or a forbidden step onto
-	// one). Climb to the nearest servable level, forbidden or not — a
-	// level we cannot encode is worse than one that is merely slow. The
-	// engine resolves Min onto the mask at construction, so this is a
-	// no-op there; it protects direct Config users.
-	pre = next
-	for next < c.cfg.Max && !c.cfg.Codecs.AllowsLevel(next) {
-		next++
-	}
-	if next != pre {
-		cause = CauseCodec
 	}
 
 	// Divergence guard (paper §5 "Compression level divergence"): if some
@@ -482,9 +446,6 @@ type Snapshot struct {
 	// at DefaultBypassRunPin and above the level is pinned to the minimum
 	// until compressible content returns.
 	BypassRun int
-	// Codecs is the active codec capability set (negotiated, or the full
-	// registry when nothing restricted it).
-	Codecs codec.Mask
 	// ForbiddenFor[l] is the remaining divergence penalty for level l
 	// (0 = not forbidden). Indexed by level, length MaxLevel+1.
 	ForbiddenFor []time.Duration
@@ -516,7 +477,6 @@ func (c *Controller) Snapshot() Snapshot {
 		Max:          c.cfg.Max,
 		PinRemaining: c.pinRemaining,
 		BypassRun:    c.bypassRun,
-		Codecs:       c.cfg.Codecs,
 		ForbiddenFor: make([]time.Duration, len(c.forbidden)),
 		BandwidthBps: make([]float64, len(c.bw)),
 	}

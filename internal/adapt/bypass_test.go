@@ -64,28 +64,3 @@ func TestBypassRespectsMinBound(t *testing.T) {
 		t.Fatalf("level = %d under bypass run, want pinned to Min 2", l)
 	}
 }
-
-// TestCodecFilterSkipsMissingCodecs: levels whose codec is not in the
-// negotiated set are stepped over like forbidden levels.
-func TestCodecFilterSkipsMissingCodecs(t *testing.T) {
-	// No DEFLATE: the ladder tops out at LZF however hard the queue grows.
-	c := New(Config{Min: 0, Max: 10, Codecs: codec.MaskRaw | codec.MaskLZF})
-	for i := 0; i < 20; i++ {
-		if l := c.LevelForNextBuffer(15 + i); l > codec.LZF {
-			t.Fatalf("level = %d with lzf-only codec set", l)
-		}
-	}
-
-	// A hole at LZF: level-1 picks route down to raw, DEFLATE levels pass.
-	c2 := New(Config{Min: 0, Max: 10, Codecs: codec.MaskRaw | codec.MaskDeflate})
-	seen := map[codec.Level]bool{}
-	for i := 0; i < 30; i++ {
-		seen[c2.LevelForNextBuffer(15+i)] = true
-	}
-	if seen[codec.LZF] {
-		t.Fatalf("controller picked level 1 with LZF missing from the codec set")
-	}
-	if s := c2.Snapshot(); s.Codecs != codec.MaskRaw|codec.MaskDeflate {
-		t.Fatalf("Snapshot.Codecs = %v", s.Codecs)
-	}
-}

@@ -106,24 +106,6 @@ func TestTransitionCauseBypass(t *testing.T) {
 	}
 }
 
-func TestTransitionCauseCodec(t *testing.T) {
-	// Min sits on a mask hole (level 1 = LZF, missing): the servability
-	// climb moves the level from the unservable 1 to 2, cause codec. The
-	// engine resolves Min onto the mask before building a controller, so
-	// only direct Config users can reach this state — which is exactly
-	// whom the climb protects.
-	mask := codec.MaskRaw | codec.MaskDeflate
-	c, got := collectTransitions(Config{Min: 1, Max: 10, Clock: clock.NewManual(time.Unix(100, 0)), Codecs: mask})
-	c.LevelForNextBuffer(15)
-	if len(*got) == 0 {
-		t.Fatal("no transition fired")
-	}
-	last := (*got)[len(*got)-1]
-	if last.Cause != CauseCodec || last.From != 1 || last.To != 2 {
-		t.Fatalf("last transition = %+v, want 1->2 cause=codec", last)
-	}
-}
-
 // TestControllerMetricsRegistry checks the counters feed registry family
 // roots: two controllers on one registry sum there while each Stats()
 // stays per-controller.

@@ -114,9 +114,8 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 // when capacity allows, so each compression worker can reuse one scratch
 // buffer across blocks instead of allocating per buffer. The returned block
 // may alias scratch or src; it is valid only until scratch's next use.
-// The codec is resolved through the default registry; a block that would
-// not shrink ships raw at level 0, so the wire never carries a block larger
-// than its raw form plus framing.
+// A block that would not shrink ships raw at level 0, so the wire never
+// carries a block larger than its raw form plus framing.
 func CompressAppend(scratch []byte, level Level, src []byte) ([]byte, Level, error) {
 	if !level.Valid() {
 		return nil, 0, ErrBadLevel
@@ -124,11 +123,7 @@ func CompressAppend(scratch []byte, level Level, src []byte) ([]byte, Level, err
 	if level == MinLevel || len(src) == 0 {
 		return src, MinLevel, nil
 	}
-	c, ok := Default().ForLevel(level)
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: no codec for level %d", ErrBadLevel, level)
-	}
-	out, err := c.Compress(scratch, level, src)
+	out, err := codecs[level.CodecID()].Compress(scratch, level, src)
 	if errors.Is(err, errNoGain) {
 		return src, MinLevel, nil
 	}
@@ -144,8 +139,8 @@ func CompressAppend(scratch []byte, level Level, src []byte) ([]byte, Level, err
 // Decompress expands a block produced by Compress. rawLen is the original
 // size recorded in the wire frame; the output is exactly rawLen bytes. Any
 // failure caused by the block's content (truncation, garbage, a size
-// mismatch) wraps ErrCorrupt; ErrBadLevel is reserved for levels no
-// registered codec serves.
+// mismatch) wraps ErrCorrupt; ErrBadLevel is reserved for levels outside
+// the ladder.
 func Decompress(level Level, block []byte, rawLen int) ([]byte, error) {
 	if !level.Valid() {
 		return nil, ErrBadLevel
@@ -153,18 +148,11 @@ func Decompress(level Level, block []byte, rawLen int) ([]byte, error) {
 	if rawLen < 0 {
 		return nil, fmt.Errorf("%w: negative raw length %d", ErrCorrupt, rawLen)
 	}
-	c, ok := Default().ForLevel(level)
-	if !ok {
-		return nil, fmt.Errorf("%w: no codec for level %d", ErrBadLevel, level)
-	}
-	return c.Decompress(block, rawLen)
+	return codecs[level.CodecID()].Decompress(block, rawLen)
 }
 
 // deflateCodec serves levels 2..10 with pooled flate writers and readers.
 type deflateCodec struct{}
-
-func (deflateCodec) ID() ID       { return IDDeflate }
-func (deflateCodec) Name() string { return "deflate" }
 
 func (deflateCodec) Compress(scratch []byte, level Level, src []byte) ([]byte, error) {
 	if cap(scratch) < len(src) {

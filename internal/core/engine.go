@@ -333,7 +333,6 @@ func New(rw io.ReadWriter, opts Options) (*Engine, error) {
 	e.ctrl = adapt.New(adapt.Config{
 		Min:          opts.MinLevel,
 		Max:          opts.MaxLevel,
-		Codecs:       opts.Codecs,
 		Clock:        opts.Clock,
 		OnDivergence: opts.Trace.OnDivergence,
 		OnTransition: onTransition,
@@ -346,7 +345,6 @@ func New(rw io.ReadWriter, opts Options) (*Engine, error) {
 		PacketSize:  opts.PacketSize,
 		BufferSize:  opts.BufferSize,
 		LevelBounds: [2]int{int(opts.MinLevel), int(opts.MaxLevel)},
-		Codecs:      opts.Codecs.String(),
 		Trace:       opts.FlowTracer.Enabled(),
 	})
 	if c, ok := rw.(interface {

@@ -685,36 +685,6 @@ func TestOptionsSanitize(t *testing.T) {
 	if s.BufferSize < s.PacketSize {
 		t.Fatal("BufferSize not raised to PacketSize")
 	}
-
-	// Codec-set resolution of the level bounds: the top clamps down to
-	// what the set serves, and a forced minimum on a mask hole resolves
-	// UP to the nearest servable level — never onto a codec the mask
-	// excludes.
-	lzfOnly := DefaultOptions()
-	lzfOnly.Codecs = codec.MaskRaw | codec.MaskLZF
-	s, err = lzfOnly.Effective()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.MaxLevel != codec.LZF {
-		t.Fatalf("lzf-only MaxLevel = %d, want 1", s.MaxLevel)
-	}
-	holeAtMin := DefaultOptions()
-	holeAtMin.MinLevel = 1 // forces compression, but LZF is missing
-	holeAtMin.Codecs = codec.MaskRaw | codec.MaskDeflate
-	s, err = holeAtMin.Effective()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.MinLevel != 2 {
-		t.Fatalf("forced min 1 over the lzf hole resolved to %d, want 2 (lowest servable)", s.MinLevel)
-	}
-	impossible := DefaultOptions()
-	impossible.MinLevel = 2
-	impossible.Codecs = codec.MaskRaw | codec.MaskLZF
-	if _, err := impossible.Effective(); err == nil {
-		t.Fatal("forced DEFLATE minimum accepted without the DEFLATE codec")
-	}
 }
 
 func TestWireOverheadSmallPath(t *testing.T) {

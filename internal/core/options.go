@@ -127,12 +127,6 @@ type Options struct {
 	// process-wide worker pool, sized to GOMAXPROCS and shared by all
 	// engines.
 	Parallelism int
-	// Codecs restricts the levels the controller may pick to those whose
-	// codec is in the set — the handshake-negotiated capability mask. Zero
-	// means every codec in the default registry. Raw copy is always
-	// included, and the effective MaxLevel is clamped to the highest
-	// level the set can serve.
-	Codecs codec.Mask
 	// DisableEntropyBypass turns off the per-buffer incompressibility
 	// probe that ships high-entropy buffers raw without compressing them,
 	// restoring the always-compress-then-notice behavior (ablation, and
@@ -199,27 +193,6 @@ func (o Options) Effective() (Options, error) {
 	if !o.MinLevel.Valid() || !o.MaxLevel.Valid() || o.MinLevel > o.MaxLevel {
 		return o, codec.ErrBadLevel
 	}
-	if o.Codecs == 0 {
-		o.Codecs = codec.AllMask()
-	}
-	// Raw copy is not optional: level 0 is the fallback for no-gain blocks
-	// and the entropy bypass, and every decoder speaks it.
-	o.Codecs = o.Codecs.With(codec.IDRaw)
-	// The level bounds must be servable by the codec set: the top clamps
-	// down to the highest level the set speaks, and a forced minimum
-	// sitting on a mask hole (say level 1 with LZF missing) resolves up
-	// to the lowest servable level — forcing "at least LZF" against a
-	// raw+deflate set means DEFLATE, never an LZF block the mask excludes.
-	// A range with no servable level at all is as invalid as Min > Max.
-	o.MaxLevel = o.Codecs.MaxUsableLevel(o.MaxLevel)
-	if o.MinLevel > o.MaxLevel {
-		return o, codec.ErrBadLevel
-	}
-	minLevel, ok := o.Codecs.MinUsableLevel(o.MinLevel, o.MaxLevel)
-	if !ok {
-		return o, codec.ErrBadLevel
-	}
-	o.MinLevel = minLevel
 	if o.BufferSize < o.PacketSize {
 		o.BufferSize = o.PacketSize
 	}

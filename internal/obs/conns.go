@@ -28,7 +28,6 @@ type ConnConfig struct {
 	PacketSize  int    `json:"packet_size"`
 	BufferSize  int    `json:"buffer_size"`
 	LevelBounds [2]int `json:"level_bounds"`
-	Codecs      string `json:"codecs,omitempty"`
 	Mux         bool   `json:"mux"`
 	Trace       bool   `json:"trace"`
 }

@@ -57,7 +57,7 @@ func TestConnHandleEnrichment(t *testing.T) {
 	h.SetAddrs("127.0.0.1:1111", "127.0.0.1:2222")
 	h.SetConfig(ConnConfig{
 		Version: 2, PacketSize: 8192, BufferSize: 200_000,
-		LevelBounds: [2]int{1, 10}, Codecs: "raw|lzf|deflate", Mux: true, Trace: true,
+		LevelBounds: [2]int{1, 10}, Mux: true, Trace: true,
 	})
 	streams := 0
 	h.SetStreams(func() int { return streams })

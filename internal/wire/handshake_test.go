@@ -67,7 +67,7 @@ func TestHandshakeFlagsRoundtrip(t *testing.T) {
 func TestHandshakeLegacyPayload(t *testing.T) {
 	h := Handshake{MinVersion: 1, MaxVersion: 2, PacketSize: 4096,
 		BufferSize: 100 * 1024, MinLevel: 1, MaxLevel: 9,
-		Flags: HandshakeFlagMux, CodecMask: codec.AllMask()}
+		Flags: HandshakeFlagMux, CodecMask: codec.LegacyMask}
 	buf := AppendHandshake(nil, h)
 	// Rebuild the frame the way an old peer would: 12-byte payload, no
 	// flags word, no codec mask.
@@ -92,7 +92,7 @@ func TestHandshakeLegacyPayload(t *testing.T) {
 func TestHandshakeFlagsEraPayload(t *testing.T) {
 	h := Handshake{MinVersion: 1, MaxVersion: 1, PacketSize: 8192,
 		BufferSize: 200 * 1024, MaxLevel: 10,
-		Flags: HandshakeFlagMux, CodecMask: codec.AllMask()}
+		Flags: HandshakeFlagMux, CodecMask: codec.LegacyMask}
 	buf := AppendHandshake(nil, h)
 	flagsEra := append([]byte(nil), buf[:MsgHeaderLen]...)
 	flagsEra = binary.BigEndian.AppendUint16(flagsEra, 14)

@@ -386,9 +386,9 @@ func (d *Reader) payload(n int) ([]byte, error) {
 // versions can append fields without breaking older peers. The flags word
 // was appended exactly that way: peers that predate it send 12-byte
 // payloads, which decode with Flags == 0 (no optional capabilities). The
-// codec capability mask followed the same route: a payload too short to
-// carry it decodes as codec.LegacyMask — the fixed raw/LZF/DEFLATE ladder
-// every pre-mask peer speaks — so masks are strictly backward compatible.
+// codec mask followed the same route: a payload too short to carry it
+// decodes as codec.LegacyMask — the fixed raw/LZF/DEFLATE ladder every
+// pre-mask peer speaks — so masks are strictly backward compatible.
 // A pre-handshake (v1) peer that receives this frame fails loudly —
 // ReadMsgHeader rejects kind 3 with ErrBadKind — instead of silently
 // misparsing the stream.
@@ -404,11 +404,14 @@ type Handshake struct {
 	// connection uses the intersection of both ranges.
 	MinLevel, MaxLevel codec.Level
 	// Flags advertises optional capabilities (HandshakeFlag*); a
-	// capability is in effect only when both sides advertise it. Absent on
-	// legacy peers, which is equivalent to "none".
+	// capability is in effect only when both sides advertise it. This
+	// build always sends mux and trace. Absent on legacy peers, which is
+	// equivalent to "none".
 	Flags uint16
-	// CodecMask advertises the codecs the speaker can run, one bit per
-	// codec.ID. The connection uses the intersection of both masks.
+	// CodecMask lists the codecs the speaker can run, one bit per
+	// codec.ID. It is a fixed offer, not a negotiated set: this build
+	// always sends codec.LegacyMask, and each side checks that the
+	// other's mask holds the whole ladder (bits beyond it are ignored).
 	// Absent on legacy peers, which decodes as codec.LegacyMask (the
 	// fixed codec ladder every pre-mask build speaks) — never as "none",
 	// which would break negotiation with every old peer.
