@@ -3,9 +3,7 @@ package codec
 import "testing"
 
 // TestLevelCodecMapping pins the paper's fixed ladder: level 0 is raw,
-// 1 is LZF and 2..10 are DEFLATE, every rung has a codec, and the mask
-// every build offers carries exactly those three codecs — never the bit
-// of the retired dictionary codec (ID 3).
+// 1 is LZF and 2..10 are DEFLATE, and every rung has a codec.
 func TestLevelCodecMapping(t *testing.T) {
 	cases := []struct {
 		level Level
@@ -21,7 +19,27 @@ func TestLevelCodecMapping(t *testing.T) {
 			t.Fatalf("no codec for level %d", tc.level)
 		}
 	}
-	if LegacyMask != 1<<IDRaw|1<<IDLZF|1<<IDDeflate || LegacyMask&(1<<3) != 0 {
-		t.Fatalf("LegacyMask = %#x, want raw+lzf+deflate only", uint16(LegacyMask))
+}
+
+// TestDefaultRegistryMask pins the codec set every build offers: exactly
+// the codecs of the fixed ladder, one mask bit per ladder entry, and never
+// the bit of the retired dictionary codec (ID 3).
+func TestDefaultRegistryMask(t *testing.T) {
+	if LegacyMask != 1<<IDRaw|1<<IDLZF|1<<IDDeflate {
+		t.Fatalf("LegacyMask = %#x, want raw+lzf+deflate", uint16(LegacyMask))
+	}
+	var ladder Mask
+	for id, c := range codecs {
+		if c != nil {
+			ladder |= 1 << id
+		}
+	}
+	if ladder != LegacyMask {
+		t.Fatalf("ladder codecs = %#x, LegacyMask = %#x", uint16(ladder), uint16(LegacyMask))
+	}
+	// ID 3 is reserved for the retired dictionary codec: no ladder entry,
+	// so the mask this build advertises never carries its bit.
+	if len(codecs) > 3 || LegacyMask&(1<<3) != 0 {
+		t.Fatalf("reserved codec ID 3 is in the ladder or the offered mask")
 	}
 }
